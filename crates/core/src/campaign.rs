@@ -9,21 +9,21 @@
 //! stand never feeds into another cell), which makes the matrix
 //! embarrassingly parallel — and because every *test* runs against a fresh
 //! power-cycled DUT, the tests inside a cell are independent too. This
-//! module owns the *planning* half at both granularities:
+//! module owns the campaign vocabulary and its single-process reference
+//! pieces:
 //!
-//! * cell-granular: the deterministic cell ordering ([`plan_cells`]) and
-//!   the per-cell runner ([`run_cell`]);
-//! * test-granular: the (entry, stand, test) job list
-//!   ([`plan_test_jobs`]), the single-test runner ([`run_test_job`]) and
-//!   the pure merge ([`merge_test_outcomes`]) that folds per-test outcomes
-//!   back into the same [`CampaignResult`] a serial run produces;
+//! * the result matrix ([`CampaignResult`] of [`CampaignCell`]s, entries
+//!   major, stands minor);
+//! * the per-cell runner ([`run_cell`]), the single-test runner
+//!   ([`run_test_job`]) and the pure merge ([`merge_job_outcomes`], and
+//!   its per-test form [`merge_test_outcomes`]) that folds the outcomes of
+//!   test ranges back into the same [`CampaignResult`] a sequential run
+//!   produces;
 //! * validation ([`validate_campaign`]): the structural checks behind the
 //!   engine's `Campaign` builder.
 //!
 //! The `comptest-engine` crate owns *execution*: its `Campaign` builder
-//! launches these plans on pluggable executors (serial or pooled). The
-//! historical serial driver [`run_campaign`] survives as a deprecated
-//! shim-level reference.
+//! plans the jobs and launches them on pluggable executors.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -86,6 +86,38 @@ pub struct CampaignCell {
 }
 
 impl CampaignCell {
+    /// Folds a cell's per-test outcomes in suite order: results accumulate
+    /// until the first planning error ends the cell as `Err(reason)` —
+    /// byte-identical to sequential execution, which stops there.
+    pub fn fold(
+        suite: String,
+        stand: String,
+        tests: impl IntoIterator<Item = TestJobOutcome>,
+    ) -> Self {
+        let mut results: Vec<TestResult> = Vec::new();
+        let mut outcome = None;
+        for test in tests {
+            match test {
+                Ok(result) => results.push(result),
+                Err(reason) => {
+                    outcome = Some(Err(reason));
+                    break;
+                }
+            }
+        }
+        let outcome = outcome.unwrap_or_else(|| {
+            Ok(SuiteResult {
+                suite: suite.clone(),
+                results,
+            })
+        });
+        CampaignCell {
+            suite,
+            stand,
+            outcome,
+        }
+    }
+
     /// A short status string for tables. Planning failures surface the
     /// first line of the error (truncated) so a matrix printout says *why*
     /// a cell could not run, not just that it could not.
@@ -171,36 +203,6 @@ impl fmt::Display for CampaignResult {
     }
 }
 
-/// One schedulable unit of a campaign: a (suite, stand) pair together with
-/// its position in the deterministic result matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellJob {
-    /// Index into the result matrix (entry-major, stand-minor).
-    pub cell: usize,
-    /// Index of the [`CampaignEntry`].
-    pub entry: usize,
-    /// Index into the stand list.
-    pub stand: usize,
-}
-
-/// Shards the suite × stand matrix into independent jobs in the canonical
-/// cell order (entries major, stands minor). Both the serial driver and the
-/// parallel engine schedule from this list, so results merge back into the
-/// same [`CampaignResult`] ordering regardless of completion order.
-pub fn plan_cells(entries: usize, stands: usize) -> Vec<CellJob> {
-    let mut jobs = Vec::with_capacity(entries * stands);
-    for entry in 0..entries {
-        for stand in 0..stands {
-            jobs.push(CellJob {
-                cell: entry * stands + stand,
-                entry,
-                stand,
-            });
-        }
-    }
-    jobs
-}
-
 /// Why a campaign description can never launch — structural problems caught
 /// by [`validate_campaign`] before any job is planned or run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,19 +268,6 @@ pub fn validate_campaign(
     Ok(())
 }
 
-/// Surfaces codegen errors early: they are suite bugs no stand could ever
-/// run, so they abort the campaign rather than filling the matrix.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Codegen`] for the first invalid suite.
-pub fn precheck_entries(entries: &[CampaignEntry<'_>]) -> Result<(), CoreError> {
-    for entry in entries {
-        comptest_script::generate_all(entry.suite)?;
-    }
-    Ok(())
-}
-
 /// Executes one campaign cell: the entry's full suite on one stand.
 ///
 /// Planning failures (a stand that cannot serve the suite) are recorded in
@@ -286,8 +275,7 @@ pub fn precheck_entries(entries: &[CampaignEntry<'_>]) -> Result<(), CoreError> 
 ///
 /// # Errors
 ///
-/// Propagates non-planning [`CoreError`]s (e.g. codegen failures that
-/// slipped past [`precheck_entries`]).
+/// Propagates non-planning [`CoreError`]s (codegen failures).
 pub fn run_cell(
     entry: &CampaignEntry<'_>,
     stand: &TestStand,
@@ -305,56 +293,10 @@ pub fn run_cell(
     })
 }
 
-/// One schedulable unit of a *test-granular* campaign: a single test of one
-/// entry's suite on one stand, together with its position in the
-/// deterministic result matrix.
-///
-/// Test-granular jobs are the finer sharding of [`CellJob`]: a cell with
-/// `k` tests contributes `k` jobs, so one large workbook no longer bounds
-/// campaign wall-clock — its tests spread over all workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TestJob {
-    /// Index into the deterministic job list (cell-major, test-minor).
-    pub job: usize,
-    /// Index into the result matrix (entry-major, stand-minor).
-    pub cell: usize,
-    /// Index of the [`CampaignEntry`].
-    pub entry: usize,
-    /// Index into the stand list.
-    pub stand: usize,
-    /// Index into the entry's `suite.tests`.
-    pub test: usize,
-}
-
 /// The outcome of one test job: the executed test, or the stand planning
 /// error that made it not runnable (a result of the experiment, mirroring
 /// [`CampaignCell::outcome`] at test granularity).
 pub type TestJobOutcome = Result<TestResult, String>;
-
-/// Shards the suite × stand matrix into per-test jobs. `test_counts[i]` is
-/// the number of tests of entry `i`'s suite. The order is canonical:
-/// entries major, stands next, tests minor — exactly the order in which the
-/// serial [`run_campaign`] executes tests — so [`merge_test_outcomes`] can
-/// fold completion-order results back into a byte-identical
-/// [`CampaignResult`].
-pub fn plan_test_jobs(test_counts: &[usize], stands: usize) -> Vec<TestJob> {
-    let total: usize = test_counts.iter().sum::<usize>() * stands;
-    let mut jobs = Vec::with_capacity(total);
-    for (entry, &tests) in test_counts.iter().enumerate() {
-        for stand in 0..stands {
-            for test in 0..tests {
-                jobs.push(TestJob {
-                    job: jobs.len(),
-                    cell: entry * stands + stand,
-                    entry,
-                    stand,
-                    test,
-                });
-            }
-        }
-    }
-    jobs
-}
 
 /// Plans one generated script on a stand, mapping planning failures to the
 /// canonical not-runnable outcome string. The one error-rendering
@@ -399,13 +341,11 @@ pub fn execute_script_job(
 ///
 /// # Errors
 ///
-/// Propagates non-planning [`CoreError`]s (e.g. codegen failures that
-/// slipped past [`precheck_entries`]).
+/// Propagates non-planning [`CoreError`]s (codegen failures).
 ///
 /// # Panics
 ///
-/// Panics when `test` is out of range for the entry's suite; job lists from
-/// [`plan_test_jobs`] are always in range.
+/// Panics when `test` is out of range for the entry's suite.
 pub fn run_test_job(
     entry: &CampaignEntry<'_>,
     stand: &TestStand,
@@ -417,32 +357,23 @@ pub fn run_test_job(
     Ok(execute_script_job(&script, stand, &mut device, options))
 }
 
-/// Folds per-test outcomes back into the deterministic [`CampaignResult`].
+/// Folds per-test outcomes back into the deterministic [`CampaignResult`]
+/// — [`merge_job_outcomes`] with one single-test job per slot.
 ///
-/// `outcomes` is indexed by [`TestJob::job`] (the [`plan_test_jobs`] order);
-/// `None` marks a job that never ran (cancelled). The fold walks cells in
-/// canonical order and, within each cell, tests in suite order:
+/// `outcomes` holds one slot per (entry, stand, test) triple in canonical
+/// order — entries major, stands next, tests minor; `None` marks a test
+/// that never ran (cancelled). With every outcome present the result is
+/// identical to running [`run_cell`] over the matrix in order.
 ///
-/// * a complete run of `Ok` tests reproduces [`run_cell`]'s
-///   `Ok(SuiteResult)` byte-for-byte;
-/// * the first planning error ends the cell as `Err(reason)`, exactly where
-///   the serial [`run_suite`] would have stopped — later outcomes of that
-///   cell (which a parallel run may have produced anyway) are discarded;
-/// * a missing outcome truncates the cell: its finished prefix of tests is
-///   kept (so a `stop_on_first_fail` run still shows the failing test), and
-///   a cell with *no* finished tests is omitted entirely.
-///
-/// Returns the result plus the number of jobs that produced no outcome.
-/// With every outcome present the result is identical to serial
-/// [`run_campaign`].
+/// Returns the result plus the number of tests that produced no outcome.
 ///
 /// # Panics
 ///
-/// Panics when `outcomes` does not cover the full [`plan_test_jobs`] list
-/// (one slot per (entry, stand, test) triple): a shorter vector is
-/// indistinguishable from "every remaining suite ran zero tests" and would
-/// silently merge never-ran cells as empty, *passing* suites — the exact
-/// silent-green outcome [`CoreError::JobsLost`] exists to prevent.
+/// Panics when `outcomes` does not cover every (entry, stand, test)
+/// triple: a shorter vector is indistinguishable from "every remaining
+/// suite ran zero tests" and would silently merge never-ran cells as
+/// empty, *passing* suites — the exact silent-green outcome
+/// [`CoreError::JobsLost`] exists to prevent.
 pub fn merge_test_outcomes(
     entries: &[CampaignEntry<'_>],
     stands: &[&TestStand],
@@ -454,83 +385,75 @@ pub fn merge_test_outcomes(
         expected,
         "outcomes must cover every planned test job"
     );
-    let cancelled = outcomes.iter().filter(|o| o.is_none()).count();
-    let mut it = outcomes.into_iter();
-    let mut result = CampaignResult::default();
-    for entry in entries {
-        for stand in stands {
-            let per_cell: Vec<Option<TestJobOutcome>> =
-                (&mut it).take(entry.suite.tests.len()).collect();
-            let mut results = Vec::new();
-            let mut outcome = None;
-            let mut complete = true;
-            for slot in per_cell {
-                match slot {
-                    Some(Ok(r)) => results.push(r),
-                    Some(Err(reason)) => {
-                        outcome = Some(Err(reason));
-                        break;
-                    }
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            let outcome = match outcome {
-                Some(err) => err,
-                None if complete || !results.is_empty() => Ok(SuiteResult {
-                    suite: entry.suite.name.clone(),
-                    results,
-                }),
-                None => continue, // nothing of this cell ran
-            };
-            result.cells.push(CampaignCell {
-                suite: entry.suite.name.clone(),
-                stand: stand.name().to_owned(),
-                outcome,
-            });
-        }
-    }
-    (result, cancelled)
+    let cells = entries
+        .iter()
+        .flat_map(|entry| std::iter::repeat_n(entry.suite.tests.len(), stands.len()))
+        .enumerate()
+        .flat_map(|(cell, tests)| std::iter::repeat_n(cell, tests));
+    let jobs = cells.zip(
+        outcomes
+            .into_iter()
+            .map(|slot| slot.map(|outcome| vec![outcome])),
+    );
+    merge_job_outcomes(entries, stands, jobs)
 }
 
-/// Runs every entry's suite on every stand, serially, in cell order — a
-/// thin wrapper over [`plan_cells`]/[`run_cell`].
+/// Folds job outcomes back into the deterministic [`CampaignResult`].
 ///
-/// Deprecated: the campaign-running surface lives behind
-/// `comptest_engine::Campaign` now; `Campaign::new(entries, stands)`
-/// launched on a `SerialExecutor` produces a byte-identical result (and a
-/// `PooledExecutor` a cell-for-cell identical one, with live events and
-/// cancellation on top).
+/// A job is a contiguous range of one cell's tests; `jobs` yields
+/// `(cell, outcomes)` in canonical order — cells entries-major and
+/// stands-minor, each cell's ranges in suite order — with `None` for a job
+/// that never ran (cancelled). Within each cell, ranges concatenate:
 ///
-/// # Errors
+/// * a complete run of `Ok` tests reproduces [`run_cell`]'s
+///   `Ok(SuiteResult)` byte-for-byte;
+/// * the first planning error ends the cell as `Err(reason)`, exactly where
+///   the serial [`run_suite`] would have stopped — later outcomes of that
+///   cell (which a parallel run may have produced anyway) are discarded;
+/// * a job that never ran truncates the cell: its finished prefix of tests
+///   is kept (so a `stop_on_first_fail` run still shows the failing test),
+///   and a cell with *no* finished tests is omitted entirely.
 ///
-/// Returns [`CoreError::Codegen`] only for invalid suites, which no stand
-/// could ever run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use comptest_engine::Campaign with a SerialExecutor (or PooledExecutor) instead"
-)]
-pub fn run_campaign(
+/// Returns the result plus the number of jobs that produced no outcome.
+pub fn merge_job_outcomes(
     entries: &[CampaignEntry<'_>],
     stands: &[&TestStand],
-    options: &ExecOptions,
-) -> Result<CampaignResult, CoreError> {
-    precheck_entries(entries)?;
-    let mut result = CampaignResult::default();
-    for job in plan_cells(entries.len(), stands.len()) {
-        result
-            .cells
-            .push(run_cell(&entries[job.entry], stands[job.stand], options)?);
+    jobs: impl IntoIterator<Item = (usize, Option<Vec<TestJobOutcome>>)>,
+) -> (CampaignResult, usize) {
+    let n_stands = stands.len();
+    let mut merged: Vec<(Vec<TestJobOutcome>, bool)> = (0..entries.len() * n_stands)
+        .map(|_| (Vec::new(), true))
+        .collect();
+    let mut cancelled = 0usize;
+    for (cell, slot) in jobs {
+        let (tests, complete) = &mut merged[cell];
+        match slot {
+            None => {
+                cancelled += 1;
+                *complete = false;
+            }
+            Some(outcomes) if tests.is_empty() && *complete => *tests = outcomes,
+            Some(outcomes) if *complete && !matches!(tests.last(), Some(Err(_))) => {
+                tests.extend(outcomes);
+            }
+            Some(_) => {}
+        }
     }
-    Ok(result)
+    let cells = merged
+        .into_iter()
+        .enumerate()
+        .filter(|(_, (tests, complete))| *complete || !tests.is_empty())
+        .map(|(cell, (tests, _))| {
+            CampaignCell::fold(
+                entries[cell / n_stands].suite.name.clone(),
+                stands[cell % n_stands].name().to_owned(),
+                tests,
+            )
+        })
+        .collect();
+    (CampaignResult { cells }, cancelled)
 }
 
-// The serial `run_campaign` is deprecated in favour of the engine's
-// `Campaign` builder, but it stays the in-crate byte-identity reference the
-// merge tests anchor to.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +498,19 @@ point, resource, pin
 P1,    Dec1,     DS_FL
 ";
 
+    /// The sequential reference: [`run_cell`] over the matrix in order.
+    fn serial(entries: &[CampaignEntry<'_>], stands: &[&TestStand]) -> CampaignResult {
+        let cells = entries
+            .iter()
+            .flat_map(|entry| {
+                stands
+                    .iter()
+                    .map(move |stand| run_cell(entry, stand, &ExecOptions::default()).unwrap())
+            })
+            .collect();
+        CampaignResult { cells }
+    }
+
     #[test]
     fn campaign_matrix() {
         let wb = Workbook::parse_str("wb.cts", WB).unwrap();
@@ -584,7 +520,7 @@ P1,    Dec1,     DS_FL
             suite: &wb.suite,
             device_factory: Box::new(|| interior_light::device(Default::default())),
         }];
-        let result = run_campaign(&entries, &[&full, &bare], &ExecOptions::default()).unwrap();
+        let result = serial(&entries, &[&full, &bare]);
         assert_eq!(result.cells.len(), 2);
         assert!(matches!(&result.cells[0].outcome, Ok(r) if r.verdict() == Verdict::Pass));
         assert!(result.cells[1].outcome.is_err(), "bare stand can't run it");
@@ -628,54 +564,6 @@ P1,    Dec1,     DS_FL
     }
 
     #[test]
-    fn plan_cells_is_entry_major() {
-        let jobs = plan_cells(2, 3);
-        assert_eq!(jobs.len(), 6);
-        assert_eq!(
-            jobs[0],
-            CellJob {
-                cell: 0,
-                entry: 0,
-                stand: 0
-            }
-        );
-        assert_eq!(
-            jobs[4],
-            CellJob {
-                cell: 4,
-                entry: 1,
-                stand: 1
-            }
-        );
-        let cells: Vec<usize> = jobs.iter().map(|j| j.cell).collect();
-        assert_eq!(cells, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn plan_test_jobs_is_cell_major_test_minor() {
-        // Two entries (2 and 1 tests) on 2 stands: 6 jobs.
-        let jobs = plan_test_jobs(&[2, 1], 2);
-        assert_eq!(jobs.len(), 6);
-        let triples: Vec<(usize, usize, usize, usize)> = jobs
-            .iter()
-            .map(|j| (j.cell, j.entry, j.stand, j.test))
-            .collect();
-        assert_eq!(
-            triples,
-            vec![
-                (0, 0, 0, 0),
-                (0, 0, 0, 1),
-                (1, 0, 1, 0),
-                (1, 0, 1, 1),
-                (2, 1, 0, 0),
-                (3, 1, 1, 0),
-            ]
-        );
-        let ids: Vec<usize> = jobs.iter().map(|j| j.job).collect();
-        assert_eq!(ids, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn test_jobs_merge_back_to_the_serial_campaign() {
         let wb = Workbook::parse_str("wb.cts", WB).unwrap();
         let full = TestStand::parse_str("a.stand", crate::PAPER_STAND_A).unwrap();
@@ -685,20 +573,18 @@ P1,    Dec1,     DS_FL
             device_factory: Box::new(|| interior_light::device(Default::default())),
         }];
         let stands = [&full, &bare];
-        let serial = run_campaign(&entries, &stands, &ExecOptions::default()).unwrap();
+        let serial = serial(&entries, &stands);
 
-        let jobs = plan_test_jobs(&[wb.suite.tests.len()], stands.len());
-        // Execute in reverse completion order to prove the merge re-sorts.
+        // (stand, test) jobs in canonical order, executed in reverse
+        // completion order to prove the merge re-sorts.
+        let n_tests = wb.suite.tests.len();
+        let jobs: Vec<(usize, usize)> = (0..stands.len())
+            .flat_map(|stand| (0..n_tests).map(move |test| (stand, test)))
+            .collect();
         let mut outcomes: Vec<Option<TestJobOutcome>> = vec![None; jobs.len()];
-        for job in jobs.iter().rev() {
-            outcomes[job.job] = Some(
-                run_test_job(
-                    &entries[job.entry],
-                    stands[job.stand],
-                    job.test,
-                    &ExecOptions::default(),
-                )
-                .unwrap(),
+        for (slot, &(stand, test)) in jobs.iter().enumerate().rev() {
+            outcomes[slot] = Some(
+                run_test_job(&entries[0], stands[stand], test, &ExecOptions::default()).unwrap(),
             );
         }
         let (merged, cancelled) = merge_test_outcomes(&entries, &stands, outcomes);
@@ -734,7 +620,7 @@ P1,    Dec1,     DS_FL
         let stands = [&bare];
         let outcome = run_test_job(&entries[0], stands[0], 0, &ExecOptions::default()).unwrap();
         assert!(outcome.is_err(), "bare stand cannot plan the test");
-        let serial = run_campaign(&entries, &stands, &ExecOptions::default()).unwrap();
+        let serial = serial(&entries, &stands);
         let (merged, cancelled) = merge_test_outcomes(&entries, &stands, vec![Some(outcome)]);
         assert_eq!(cancelled, 0);
         assert_eq!(merged, serial);

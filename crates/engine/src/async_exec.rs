@@ -19,6 +19,11 @@
 //! campaign), and a configured campaign cache resolves hits *at
 //! admission* — a cached run never touches the wheel at all.
 //!
+//! A job — one cell's contiguous range of tests, the one job shape of
+//! every executor — holds one run on the wheel at a time: when its test
+//! finishes, the job's next test takes its place, so whole-cell jobs
+//! interleave test by test with everything else.
+//!
 //! The executor keeps the full [`CampaignExecutor`](crate::CampaignExecutor)
 //! contract: jobs come from the same deterministic plans, outcomes merge
 //! byte-identical to [`SerialExecutor`](crate::SerialExecutor) at both
@@ -31,27 +36,20 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::Instant;
 
-use comptest_core::campaign::{merge_test_outcomes, CampaignCell, TestJobOutcome};
 use comptest_core::error::CoreError;
 use comptest_core::exec::{RunState, TestRun};
 use comptest_dut::Device;
 use comptest_model::SimTime;
-use comptest_stand::{ExecutionPlan, TestStand};
+use comptest_stand::ExecutionPlan;
 
-use crate::cache::fold_cell;
-use crate::campaign::{Campaign, Granularity};
+use crate::campaign::Campaign;
 use crate::events::{emit, EngineEvent};
-use crate::executor::{
-    check_lost, check_verified, collect, fold_cell_slots, outcome_sim_end, outcome_status,
-    rescue_cell_strands, rescue_test_strands, CampaignExecutor, JobCtx, JobMsg, PackagedCell,
-    PackagedJob, PackagedTest, Prepared, Strand,
-};
-use crate::handle::{CampaignHandle, CampaignOutcome, EventStream};
-use crate::obs::{Counter, Gauge, SpanCat, SpanHandle};
+use crate::executor::{admit, CampaignExecutor, JobCtx, JobMsg, Launch, RangeJob, RangeRun};
+use crate::handle::CampaignHandle;
+use crate::obs::Gauge;
 
 /// Executes campaigns on an event loop of resumable [`TestRun`]s: up to
 /// `concurrency` runs are open simultaneously, interleaved step by step in
@@ -131,11 +129,26 @@ fn shard_limits(concurrency: usize, parts: usize) -> impl Iterator<Item = usize>
 }
 
 impl CampaignExecutor for AsyncExecutor {
+    /// The planned job list is dealt across shard threads, each
+    /// interleaving its jobs' runs on a sim-time wheel; outcomes merge
+    /// through the same join as every other executor.
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        match campaign.granularity {
-            Granularity::Cell => launch_async_cells(self, campaign),
-            Granularity::Test => launch_async_tests(self, campaign),
+        let (launch, jobs, events, results) = Launch::new(campaign)?;
+        let parts = partition(jobs, self.shards.min(self.concurrency));
+        // Additive claim (not `gauge_set`): concurrent campaigns sharing one
+        // recorder sum their shard counts, released when each joins.
+        let claimed_workers = parts.len() as i64;
+        launch.ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
+        let limits = shard_limits(self.concurrency, parts.len());
+        for (part, limit) in parts.into_iter().zip(limits) {
+            let ctx = launch.ctx.clone();
+            let events = events.clone();
+            let results = results.clone();
+            std::thread::spawn(move || drive_shard(part, limit, &ctx, &events, &results));
         }
+        // The launch-side senders drop on return, so both streams end with
+        // the last shard.
+        Ok(launch.into_handle(claimed_workers, None))
     }
 }
 
@@ -180,89 +193,50 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-/// Test-granular async launch: the planned job list is dealt across shard
-/// threads, each interleaving its runs on a sim-time wheel; outcomes merge
-/// through [`merge_test_outcomes`] exactly like every other executor.
-fn launch_async_tests<'a>(
-    executor: &AsyncExecutor,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let jobs = prepared.package_jobs(campaign.entries);
-    let n_jobs = jobs.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    let parts = partition(jobs, executor.shards.min(executor.concurrency));
-    // Additive claim (not `gauge_set`): concurrent campaigns sharing one
-    // recorder sum their shard counts, released when each joins.
-    let claimed_workers = parts.len() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let limits = shard_limits(executor.concurrency, parts.len());
-    for (part, limit) in parts.into_iter().zip(limits) {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        std::thread::spawn(move || {
-            drive_test_shard(part, limit, &ctx, &events, &results);
-        });
-    }
-    // Drop the launch-side senders so both streams end with the last shard.
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let stands = campaign.stands;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_test_strands(strands, entries, &ctx, &mut slots);
-            let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-            check_lost(cancelled, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(CampaignOutcome { result, cancelled })
-        }),
-    ))
-}
-
-/// Everything about one admitted test except its run — what the finish
-/// path needs after the state machine is consumed.
-struct TestTicket {
-    slot: usize,
-    cell: usize,
-    test: usize,
-    suite: String,
-    stand: String,
-    name: String,
-    started: Instant,
-    /// The test's trace span, closed at finish (or on abandonment, so
-    /// span-open always equals span-close even under cancellation).
-    span: SpanHandle,
-}
-
-/// One in-flight test on the wheel (the plan is the campaign's shared
+/// One in-flight job on the wheel: its bookkeeping plus the running
+/// test's resumable state machine (the plan is the campaign's shared
 /// `Arc`, so parking a run never clones the plan).
-struct ActiveTest {
-    ticket: TestTicket,
+struct Active {
+    range: RangeRun,
     run: TestRun<Arc<ExecutionPlan>, Device>,
 }
 
-/// One shard's event loop at test granularity: admit until the in-flight
-/// limit is reached (so `limit` runs are genuinely open at once), then
-/// repeatedly advance the earliest-deadline run by one step.
-fn drive_test_shard(
-    mut pending: VecDeque<PackagedJob>,
+/// Starts the job's next test as a resumable run, or finishes the job
+/// when none is left (every test ran, or the last one could not be
+/// planned) — the one transition shared by admission and the
+/// steady-state loop. Returns the run to park on the wheel.
+fn next_run(
+    mut range: RangeRun,
+    ctx: &JobCtx,
+    events: &Sender<EngineEvent>,
+    results: &Sender<JobMsg>,
+) -> Option<Box<Active>> {
+    match range.next_test(ctx) {
+        Some((plan, device)) => {
+            let mut run = TestRun::new(plan, device, &ctx.exec);
+            if let Some(probe) = &ctx.step_probe {
+                run = run.with_probe(Arc::clone(probe));
+            }
+            Some(Box::new(Active { range, run }))
+        }
+        None => {
+            range.finish(ctx, events, results);
+            None
+        }
+    }
+}
+
+/// One shard's event loop: admit until the in-flight limit is reached (so
+/// `limit` jobs are genuinely open at once), then repeatedly advance the
+/// earliest-deadline run by one step.
+fn drive_shard(
+    mut pending: VecDeque<RangeJob>,
     limit: usize,
     ctx: &JobCtx,
     events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<TestJobOutcome>>,
+    results: &Sender<JobMsg>,
 ) {
-    let mut wheel: BinaryHeap<Scheduled<ActiveTest>> = BinaryHeap::new();
+    let mut wheel: BinaryHeap<Scheduled<Box<Active>>> = BinaryHeap::new();
     let mut seq = 0u64;
     ctx.obs.gauge_add(Gauge::QueueDepth, pending.len() as i64);
     loop {
@@ -271,442 +245,53 @@ fn drive_test_shard(
                 break;
             };
             ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-            admit_test(job, ctx, events, results, &mut wheel, &mut seq);
+            // Admission resolves cache hits, cancellations and strands
+            // without touching the wheel; a job whose first test cannot be
+            // planned (or that has no tests) finishes right here.
+            let Some(job) = admit(job, ctx, events, results) else {
+                continue;
+            };
+            emit(events, job.started_event());
+            if let Some(active) = next_run(RangeRun::start(job, ctx), ctx, events, results) {
+                wheel.push(Scheduled {
+                    deadline: active.run.next_deadline(),
+                    seq,
+                    payload: active,
+                });
+                seq += 1;
+            }
         }
         let Some(entry) = wheel.pop() else {
             if pending.is_empty() {
                 return;
             }
-            // Every admitted job resolved at admission (cache hits,
-            // planning errors or cancellations); go admit more.
+            // Every admitted job resolved at admission; go admit more.
             continue;
         };
-        // Step-granular cancellation: abandon the popped run at its step
+        // Step-granular cancellation: abandon the popped job at its step
         // boundary; later iterations drain the rest of the wheel the same
         // way. The abandoned slot stays empty, which the merge counts as
         // cancelled; acknowledging here is what keeps join() from calling
         // it lost.
         if ctx.cancel.is_cancelled() {
-            ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-            ctx.obs
-                .span_end(entry.payload.ticket.span, || Some("cancelled".into()));
-            let _ = results.send(JobMsg::Cancelled);
+            entry.payload.range.abandon(ctx, results);
             continue;
         }
         let mut active = entry.payload;
-        match active.run.step() {
-            RunState::Running => {
-                wheel.push(Scheduled {
-                    deadline: active.run.next_deadline(),
-                    seq: entry.seq,
-                    payload: active,
-                });
-            }
+        let next = match active.run.step() {
+            RunState::Running => Some(active),
             RunState::Finished(result) => {
-                ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-                finish_test(active.ticket, Ok(result), ctx, events, results);
+                let Active { mut range, .. } = *active;
+                range.record(Ok(result), ctx);
+                next_run(range, ctx, events, results)
             }
-        }
-    }
-}
-
-/// Admits one packaged test: consults the cache (a hit resolves the job
-/// without touching the wheel), emits `TestStarted`, resolves the shared
-/// plan slot, and either parks the fresh [`TestRun`] on the wheel or — on
-/// a planning failure — resolves the job immediately with the same
-/// not-runnable outcome the blocking executors produce.
-fn admit_test(
-    mut job: PackagedJob,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<TestJobOutcome>>,
-    wheel: &mut BinaryHeap<Scheduled<ActiveTest>>,
-    seq: &mut u64,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_test(&job, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss, no device to run with (possible when the
-    // store is shared with other processes): strand the job back to the
-    // join, which can borrow the campaign's device factories.
-    let Some(device) = job.take_device() else {
-        let _ = results.send(JobMsg::Stranded(Strand::Test(Box::new(job))));
-        return;
-    };
-    let plan = job.resolve_plan(&ctx.obs);
-    let PackagedJob {
-        job: slot,
-        cell,
-        test,
-        suite,
-        stand_name,
-        name,
-        ..
-    } = job;
-    emit(
-        events,
-        EngineEvent::TestStarted {
-            cell,
-            test,
-            suite: suite.clone(),
-            stand: stand_name.clone(),
-            name: name.clone(),
-        },
-    );
-    let span = ctx
-        .obs
-        .span_begin(SpanCat::Test, || format!("{suite}::{name}"));
-    let ticket = TestTicket {
-        slot,
-        cell,
-        test,
-        suite,
-        stand: stand_name,
-        name,
-        started: Instant::now(),
-        span,
-    };
-    match plan {
-        Ok(plan) => {
-            let mut run = TestRun::new(plan, device, &ctx.exec);
-            if let Some(probe) = &ctx.step_probe {
-                run = run.with_probe(Arc::clone(probe));
-            }
-            ctx.obs.gauge_add(Gauge::InflightJobs, 1);
-            wheel.push(Scheduled {
-                deadline: run.next_deadline(),
-                seq: *seq,
-                payload: ActiveTest { ticket, run },
-            });
-            *seq += 1;
-        }
-        Err(reason) => finish_test(ticket, Err(reason), ctx, events, results),
-    }
-}
-
-/// Completes one test job: feeds the cache (store + verify), emits
-/// `TestFinished` (wall-clock measured from admission, so interleaved runs
-/// overlap), trips `stop_on_first_fail`, and reports the outcome to the
-/// collector.
-fn finish_test(
-    ticket: TestTicket,
-    outcome: TestJobOutcome,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<TestJobOutcome>>,
-) {
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_test(ticket.cell, ticket.test, &outcome);
-    }
-    let (status, failed) = outcome_status(&outcome);
-    let wall = ticket.started.elapsed();
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.inc(Counter::TestsExecuted);
-    ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
-    ctx.obs.span_end(ticket.span, || Some(status.clone()));
-    emit(
-        events,
-        EngineEvent::TestFinished {
-            cell: ticket.cell,
-            test: ticket.test,
-            suite: ticket.suite,
-            stand: ticket.stand,
-            name: ticket.name,
-            status,
-            failed,
-            duration: wall,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(ticket.slot, outcome));
-}
-
-/// Cell-granular async launch: whole suite×stand cells interleave on the
-/// wheel, each advancing its current test one step at a time.
-fn launch_async_cells<'a>(
-    executor: &AsyncExecutor,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let cells = prepared.package_cells(campaign.entries);
-    let n_cells = cells.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    let parts = partition(cells, executor.shards.min(executor.concurrency));
-    // Additive claim, mirroring `launch_async_tests` (see the comment
-    // there).
-    let claimed_workers = parts.len() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let limits = shard_limits(executor.concurrency, parts.len());
-    for (part, limit) in parts.into_iter().zip(limits) {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        std::thread::spawn(move || {
-            drive_cell_shard(part, limit, &ctx, &events, &results);
-        });
-    }
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_cell_strands(strands, entries, &ctx, &mut slots);
-            let outcome = fold_cell_slots(slots, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(outcome)
-        }),
-    ))
-}
-
-/// Everything about one admitted cell except its current run: identity,
-/// the queue of tests not yet started and the per-test outcomes finished
-/// so far (what the cache records and the final fold consumes).
-struct CellShell {
-    slot: usize,
-    suite: String,
-    stand_name: String,
-    stand: Arc<TestStand>,
-    remaining: VecDeque<PackagedTest>,
-    outcomes: Vec<TestJobOutcome>,
-    /// The cell's trace span, closed at finish (or on abandonment, so
-    /// span-open always equals span-close even under cancellation).
-    span: SpanHandle,
-}
-
-/// One in-flight cell on the wheel: its shell plus the current test's run.
-struct ActiveCell {
-    shell: CellShell,
-    run: TestRun<Arc<ExecutionPlan>, Device>,
-}
-
-/// The next scheduling state of a cell, at admission and after every
-/// finished test: another run to park on the wheel, or the completed
-/// shell (its `outcomes` determine the cell).
-enum CellStep {
-    Active(Box<ActiveCell>),
-    Done(CellShell),
-}
-
-/// Starts the cell's next test — the single transition shared by
-/// admission and the steady-state loop, preserving the blocking
-/// executors' semantics: the first planning error ends the cell, a
-/// drained queue completes it.
-fn start_next_test(mut shell: CellShell, ctx: &JobCtx) -> CellStep {
-    match shell.remaining.pop_front() {
-        None => CellStep::Done(shell),
-        Some(mut test) => match test.plan.resolve(&test.script, &shell.stand, &ctx.obs) {
-            Err(reason) => {
-                shell.outcomes.push(Err(reason));
-                CellStep::Done(shell)
-            }
-            Ok(plan) => match test.take_device() {
-                // Unreachable after `admit_cell`'s pre-check; degrade to a
-                // planning failure ending the cell rather than panic.
-                None => {
-                    shell
-                        .outcomes
-                        .push(Err("internal: packaged test lost its device".into()));
-                    CellStep::Done(shell)
-                }
-                Some(device) => {
-                    let mut run = TestRun::new(plan, device, &ctx.exec);
-                    if let Some(probe) = &ctx.step_probe {
-                        run = run.with_probe(Arc::clone(probe));
-                    }
-                    CellStep::Active(Box::new(ActiveCell { run, shell }))
-                }
-            },
-        },
-    }
-}
-
-/// One shard's event loop at cell granularity.
-fn drive_cell_shard(
-    mut pending: VecDeque<PackagedCell>,
-    limit: usize,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<CampaignCell>>,
-) {
-    let mut wheel: BinaryHeap<Scheduled<Box<ActiveCell>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    ctx.obs.gauge_add(Gauge::QueueDepth, pending.len() as i64);
-    loop {
-        while wheel.len() < limit {
-            let Some(cell) = pending.pop_front() else {
-                break;
-            };
-            ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-            admit_cell(cell, ctx, events, results, &mut wheel, &mut seq);
-        }
-        let Some(entry) = wheel.pop() else {
-            if pending.is_empty() {
-                return;
-            }
-            continue;
         };
-        // Step-granular cancellation, as on the test-granular loop: the
-        // cell is abandoned mid-test; its finished tests are discarded
-        // (the cell merges as cancelled, keeping parity with the pooled
-        // executor's all-or-nothing cell outcomes).
-        if ctx.cancel.is_cancelled() {
-            ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-            ctx.obs
-                .span_end(entry.payload.shell.span, || Some("cancelled".into()));
-            let _ = results.send(JobMsg::Cancelled);
-            continue;
-        }
-        let mut cell = entry.payload;
-        match cell.run.step() {
-            RunState::Running => {
-                wheel.push(Scheduled {
-                    deadline: cell.run.next_deadline(),
-                    seq: entry.seq,
-                    payload: cell,
-                });
-            }
-            RunState::Finished(result) => {
-                let mut shell = cell.shell;
-                shell.outcomes.push(Ok(result));
-                match start_next_test(shell, ctx) {
-                    CellStep::Active(cell) => {
-                        wheel.push(Scheduled {
-                            deadline: cell.run.next_deadline(),
-                            seq: entry.seq,
-                            payload: cell,
-                        });
-                    }
-                    CellStep::Done(shell) => {
-                        ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-                        finish_cell(shell, ctx, events, results);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Admits one packaged cell: consults the cache (a hit resolves the whole
-/// cell without touching the wheel), emits `JobStarted` and starts its
-/// first test. A cell whose first test cannot be planned (or that has no
-/// tests) resolves immediately, exactly like the blocking executors.
-fn admit_cell(
-    cell: PackagedCell,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<CampaignCell>>,
-    wheel: &mut BinaryHeap<Scheduled<Box<ActiveCell>>>,
-    seq: &mut u64,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_cell(&cell, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss: the cell was packaged without devices
-    // (all-or-none per cell). Strand it back to the join before any
-    // started event leaks out.
-    if cell.tests.iter().any(|t| t.device.is_none()) {
-        let _ = results.send(JobMsg::Stranded(Strand::Cell(Box::new(cell))));
-        return;
-    }
-    let PackagedCell {
-        cell: slot,
-        suite,
-        stand_name,
-        stand,
-        tests,
-        ..
-    } = cell;
-    emit(
-        events,
-        EngineEvent::JobStarted {
-            cell: slot,
-            suite: suite.clone(),
-            stand: stand_name.clone(),
-        },
-    );
-    let span = ctx
-        .obs
-        .span_begin(SpanCat::Cell, || format!("{suite} on {stand_name}"));
-    let shell = CellShell {
-        slot,
-        suite,
-        stand_name,
-        stand,
-        remaining: tests.into(),
-        outcomes: Vec::new(),
-        span,
-    };
-    match start_next_test(shell, ctx) {
-        CellStep::Active(cell) => {
-            ctx.obs.gauge_add(Gauge::InflightJobs, 1);
+        if let Some(active) = next {
             wheel.push(Scheduled {
-                deadline: cell.run.next_deadline(),
-                seq: *seq,
-                payload: cell,
+                deadline: active.run.next_deadline(),
+                seq: entry.seq,
+                payload: active,
             });
-            *seq += 1;
         }
-        CellStep::Done(shell) => finish_cell(shell, ctx, events, results),
     }
-}
-
-/// Completes one cell: feeds the cache with the determined per-test
-/// outcomes, folds them into the canonical cell outcome, emits
-/// `JobFinished`, trips `stop_on_first_fail`, and reports — the same
-/// event shape as the pooled executor.
-fn finish_cell(
-    shell: CellShell,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<CampaignCell>>,
-) {
-    let CellShell {
-        slot,
-        suite,
-        stand_name,
-        outcomes,
-        span,
-        ..
-    } = shell;
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_cell(slot, &suite, &stand_name, &outcomes);
-    }
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.add(Counter::TestsExecuted, outcomes.len() as u64);
-    let cell = fold_cell(suite, stand_name, outcomes);
-    let failed = !cell.passed();
-    ctx.obs.span_end(span, || Some(cell.status()));
-    emit(
-        events,
-        EngineEvent::JobFinished {
-            cell: slot,
-            suite: cell.suite.clone(),
-            stand: cell.stand.clone(),
-            status: cell.status(),
-            failed,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(slot, cell));
 }

@@ -88,6 +88,7 @@ use comptest_model::{BitPattern, MethodName, SignalName, SimTime, StatusBound};
 use comptest_stand::AppliedValue;
 
 use super::CellRecord;
+use crate::wire::{put_f64, put_str, put_varint, Reader, WireError};
 
 /// The three magic bytes opening every binary record file.
 pub const MAGIC: [u8; 3] = *b"CCR";
@@ -149,125 +150,31 @@ impl RecordHeader {
 }
 
 // ---------------------------------------------------------------------------
-// Reader: one bounds-checked cursor over the borrowed record buffer.
+// Record-specific reads over the shared `wire` primitives
 // ---------------------------------------------------------------------------
 
-/// A zero-copy cursor: every accessor checks the remaining length before
-/// touching the buffer, and string reads hand back `&'a str` slices
-/// validated in place.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<WireError> for DecodeError {
+    fn from(e: WireError) -> Self {
+        DecodeError(e.0)
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+fn u32(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+    u32::try_from(r.varint()?).map_err(|_| DecodeError("u32 out of range".into()))
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+fn u64_le(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
+    let bytes: [u8; 8] = r.take(8)?.try_into().expect("take(8) is 8 bytes");
+    Ok(u64::from_le_bytes(bytes))
+}
 
-    fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if n > self.remaining() {
-            return err(format!("need {n} bytes, {} remain", self.remaining()));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// LEB128 varint, at most 10 bytes, rejecting u64 overflow.
-    fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return err("varint overflows u64");
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return err("varint overflows u64");
-            }
-        }
-    }
-
-    /// A varint used as a byte length or element count: validated against
-    /// the bytes actually remaining *before* it is trusted, so a hostile
-    /// length can neither over-read nor size an allocation.
-    fn length(&mut self) -> Result<usize, DecodeError> {
-        let n = self.varint()?;
-        if n > self.remaining() as u64 {
-            return err(format!(
-                "declared length {n} exceeds {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self) -> Result<&'a str, DecodeError> {
-        let n = self.length()?;
-        std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError("invalid UTF-8".into()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let bytes: [u8; 8] = self.take(8)?.try_into().expect("take(8) is 8 bytes");
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        u32::try_from(self.varint()?).map_err(|_| DecodeError("u32 out of range".into()))
-    }
-
-    fn u64_le(&mut self) -> Result<u64, DecodeError> {
-        let bytes: [u8; 8] = self.take(8)?.try_into().expect("take(8) is 8 bytes");
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn simtime(&mut self) -> Result<SimTime, DecodeError> {
-        Ok(SimTime::from_micros(self.varint()?))
-    }
+fn simtime(r: &mut Reader<'_>) -> Result<SimTime, DecodeError> {
+    Ok(SimTime::from_micros(r.varint()?))
 }
 
 // ---------------------------------------------------------------------------
 // Encode
 // ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
 
 fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     match v {
@@ -516,8 +423,8 @@ fn applied(r: &mut Reader<'_>) -> Result<AppliedValue, DecodeError> {
 
 fn check(r: &mut Reader<'_>) -> Result<CheckResult, DecodeError> {
     Ok(CheckResult {
-        step: r.u32()?,
-        at: r.simtime()?,
+        step: u32(r)?,
+        at: simtime(r)?,
         signal: signal(r)?,
         method: MethodName::new(r.str()?).map_err(|e| DecodeError(e.to_string()))?,
         bound: bound(r)?,
@@ -535,20 +442,20 @@ fn check(r: &mut Reader<'_>) -> Result<CheckResult, DecodeError> {
 fn trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
     match r.u8()? {
         0 => Ok(TraceEvent::Applied {
-            at: r.simtime()?,
+            at: simtime(r)?,
             signal: signal(r)?,
             resource: r.str()?.to_owned(),
             value: applied(r)?,
         }),
         1 => Ok(TraceEvent::Measured {
-            at: r.simtime()?,
+            at: simtime(r)?,
             signal: signal(r)?,
             resource: r.str()?.to_owned(),
             value: measured(r)?,
         }),
         2 => Ok(TraceEvent::StepEnd {
-            nr: r.u32()?,
-            at: r.simtime()?,
+            nr: u32(r)?,
+            at: simtime(r)?,
         }),
         tag => err(format!("bad trace tag {tag}")),
     }
@@ -561,8 +468,8 @@ fn test_result(r: &mut Reader<'_>) -> Result<TestResult, DecodeError> {
     let n_steps = r.length()?;
     let mut steps = Vec::with_capacity(n_steps);
     for _ in 0..n_steps {
-        let nr = r.u32()?;
-        let t_end = r.simtime()?;
+        let nr = u32(r)?;
+        let t_end = simtime(r)?;
         let n_checks = r.length()?;
         let mut checks = Vec::with_capacity(n_checks);
         for _ in 0..n_checks {
@@ -642,7 +549,7 @@ fn footprint(r: &mut Reader<'_>) -> Result<Footprint, DecodeError> {
     let n_frames = r.length()?;
     let mut frames = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
-        frames.push(r.u32()?);
+        frames.push(u32(r)?);
     }
     Ok(Footprint {
         salt,
@@ -651,8 +558,8 @@ fn footprint(r: &mut Reader<'_>) -> Result<Footprint, DecodeError> {
         frames,
         resources: str_list(r)?,
         ecus: str_list(r)?,
-        plan_hash: r.u64_le()?,
-        dut_slice_hash: r.u64_le()?,
+        plan_hash: u64_le(r)?,
+        dut_slice_hash: u64_le(r)?,
     })
 }
 
@@ -670,13 +577,13 @@ pub fn decode(bytes: &[u8]) -> Result<CellRecord, DecodeError> {
     let mut tests: Vec<TestJobOutcome> = Vec::with_capacity(head.tests);
     for _ in 0..head.tests {
         let len = r.length()?;
-        let end = r.pos + len;
+        let end = r.pos() + len;
         let outcome = match r.u8()? {
             0 => Ok(test_result(&mut r)?),
             1 => Err(r.str()?.to_owned()),
             tag => return err(format!("bad outcome tag {tag}")),
         };
-        if r.pos != end {
+        if r.pos() != end {
             return err("outcome body length mismatch");
         }
         tests.push(outcome);

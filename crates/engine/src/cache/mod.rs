@@ -13,17 +13,23 @@
 //! Design points:
 //!
 //! * **Records are per cell, granularity-agnostic.** A [`CellRecord`]
-//!   holds per-test outcomes (full [`TestResult`]s including traces and
+//!   holds per-test outcomes (full
+//!   [`TestResult`](comptest_core::TestResult)s including traces and
 //!   simulated step timing, so reports from a warm run carry the same
 //!   timing a cold run would). Because every test runs against a fresh
 //!   power-cycled DUT, a record written by a test-granular run serves a
 //!   cell-granular one and vice versa — the same independence argument
 //!   behind the engine's byte-identity guarantee.
-//! * **A record may be a prefix.** Cell-granular execution stops at the
-//!   first planning error, so tests after it are unknown; the record
-//!   stores the determined prefix. Test-granular lookups hit any stored
-//!   index; cell-granular lookups hit only when the record *determines*
-//!   the cell outcome (it ends in a planning error, or covers every test).
+//! * **A record may be a prefix.** Every job runs a contiguous range of
+//!   one cell's tests and stops at the first planning error, so tests
+//!   after it are unknown; the record stores the determined prefix. A
+//!   job's lookup hits when the record *determines its range*
+//!   ([`CellRecord::range_outcomes`]): every test of the range is stored,
+//!   or the stored prefix ends in a planning error inside it. A one-test
+//!   range therefore hits any stored index; a whole-cell range hits only
+//!   when the record determines the cell outcome. A cell's record is
+//!   stored once all of its ranges have reported and at least one of them
+//!   executed (a fully warm cell is never re-stored).
 //! * **Anything unreadable is a miss.** Corrupt, truncated or
 //!   wrong-version entries decode to an error and the cell simply
 //!   executes; only an unusable cache *directory* raises
@@ -41,9 +47,8 @@
 //! * **Hits build no devices.** Records are pre-loaded before jobs are
 //!   packaged and are immutable for the launch, so admission is a
 //!   deterministic function of them; packaging asks
-//!   `CacheRuntime::will_hit_*` and skips constructing the per-job DUT
-//!   device for every predicted hit — a fully warm run builds zero
-//!   devices.
+//!   `CacheRuntime::will_hit` and skips constructing the job's DUT devices
+//!   for every predicted hit — a fully warm run builds zero devices.
 //!
 //! # What invalidates the cache
 //!
@@ -114,6 +119,7 @@ pub(crate) use crate::codec as json;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
@@ -122,9 +128,8 @@ use std::sync::{Arc, Mutex};
 use comptest_core::campaign::{CampaignCell, TestJobOutcome};
 use comptest_core::error::CoreError;
 use comptest_core::hash::{CellKey, Footprint};
-use comptest_core::{SuiteResult, TestResult};
 
-use crate::campaign::{Campaign, Granularity};
+use crate::campaign::{Campaign, JobRange};
 use crate::events::{emit, EngineEvent};
 use crate::executor::KeySet;
 use crate::obs::{Counter, Recorder};
@@ -173,7 +178,8 @@ impl std::str::FromStr for CacheKeying {
 }
 
 /// The cached outcomes of one campaign cell: per-test outcomes in suite
-/// order, possibly truncated to the prefix a cell-granular run determined.
+/// order, possibly truncated to the prefix a run determined (execution
+/// stops at the first planning error).
 ///
 /// Invariant: `tests.len() <= total`, where `total` is the suite's test
 /// count at store time. A record *determines* the whole cell when it ends
@@ -213,6 +219,20 @@ impl CellRecord {
         self.is_complete() || matches!(self.tests.last(), Some(Err(_)))
     }
 
+    /// The outcomes of the test range `tests`, if the record determines
+    /// it: every test of the range is stored, or the stored prefix ends in
+    /// a planning error inside the range (where execution stops — the
+    /// slice then ends with that error).
+    pub fn range_outcomes(&self, tests: Range<usize>) -> Option<&[TestJobOutcome]> {
+        for i in tests.clone() {
+            match self.tests.get(i)? {
+                Ok(_) => {}
+                Err(_) => return Some(&self.tests[tests.start..=i]),
+            }
+        }
+        self.tests.get(tests)
+    }
+
     /// The whole-cell outcome, if the record determines it: the fold stops
     /// at the first planning error (exactly where sequential cell
     /// execution stops), otherwise every test must be present.
@@ -220,45 +240,11 @@ impl CellRecord {
         if !self.is_determined() {
             return None;
         }
-        Some(fold_cell(
+        Some(CampaignCell::fold(
             suite.to_owned(),
             stand.to_owned(),
             self.tests.iter().cloned(),
         ))
-    }
-}
-
-/// Folds per-test outcomes into the canonical [`CampaignCell`]: results
-/// accumulate until the first planning error ends the cell as
-/// `Err(reason)` — byte-identical to sequential cell execution. The one
-/// fold shared by cache hits and every executor's cold path.
-pub(crate) fn fold_cell(
-    suite: String,
-    stand: String,
-    tests: impl IntoIterator<Item = TestJobOutcome>,
-) -> CampaignCell {
-    let mut results: Vec<TestResult> = Vec::new();
-    let mut planning_error = None;
-    for outcome in tests {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(reason) => {
-                planning_error = Some(reason);
-                break;
-            }
-        }
-    }
-    let outcome = match planning_error {
-        Some(reason) => Err(reason),
-        None => Ok(SuiteResult {
-            suite: suite.clone(),
-            results,
-        }),
-    };
-    CampaignCell {
-        suite,
-        stand,
-        outcome,
     }
 }
 
@@ -618,22 +604,21 @@ impl DirCache {
     }
 }
 
-/// Per-cell accumulator for test-granular runs: collects outcomes (cached
-/// and executed) until the cell is fully covered, then stores once.
+/// Per-cell store accumulator: collects the outcomes every range of the
+/// cell reports (cached and executed) and stores the record once the last
+/// range reported.
 struct Collector {
     outcomes: Vec<Option<TestJobOutcome>>,
-    filled: usize,
+    /// Ranges of the cell that have not reported yet.
+    pending: usize,
     /// At least one outcome came from execution (a fully-warm cell is
     /// never re-stored — 10k identical writes would erase the warm win).
     executed: bool,
-    stored: bool,
 }
 
 /// The cache state of one launched campaign run, shared by every worker:
-/// pre-computed keys, pre-loaded records, per-cell store accumulators
-/// (test-granular runs only — cell-granular jobs report their whole cell
-/// at once and need no accumulation) and the `cache_verify` mismatch
-/// count.
+/// pre-computed keys, pre-loaded records, per-cell store accumulators and
+/// the `cache_verify` mismatch count.
 ///
 /// Loading happens once on the launch thread (one I/O pass in
 /// deterministic cell order); workers only read records and accumulate
@@ -652,9 +637,7 @@ pub(crate) struct CacheRuntime {
     /// The format that served each preloaded record (`None` for misses
     /// and format-less caches) — what the per-format hit counters report.
     formats: Vec<Option<RecordFormat>>,
-    /// Per-cell suite test count (the stored record's `total`).
-    totals: Vec<usize>,
-    /// Per-cell accumulators; empty for cell-granular runs.
+    /// Per-cell accumulators.
     collectors: Vec<Mutex<Collector>>,
     /// Cells whose stored entry existed but could not be decoded:
     /// `(cell, suite, stand)`, collected at preload so every launch path
@@ -671,8 +654,8 @@ pub(crate) struct CacheRuntime {
 impl CacheRuntime {
     /// Pre-loads every cell's record using the campaign's precomputed
     /// [`CellKey`]s (hashed once per campaign *value* in the `OnceLock`
-    /// key store, not once per launch). `collect_tests` is true for
-    /// test-granular runs, which need the per-cell store accumulators.
+    /// key store, not once per launch) and sets up one store accumulator
+    /// per cell, expecting a report from each of the cell's `jobs`.
     /// Corrupt entries are treated as misses, remembered for warning
     /// events, and counted on `obs`. Every lookup that fails to produce a
     /// usable record counts as `cells_invalidated` (the cells this run
@@ -682,21 +665,22 @@ impl CacheRuntime {
         cache: Arc<dyn CampaignCache>,
         campaign: &Campaign<'_, '_>,
         keyset: &KeySet,
+        jobs: &[JobRange],
         obs: &Recorder,
     ) -> Arc<Self> {
-        let verify = campaign.cache_verify;
-        let collect_tests = campaign.granularity == Granularity::Test;
-        let keying = campaign.cache_keying;
         let entries = campaign.entries;
         let stands = campaign.stands;
         let keys = &keyset.keys;
         let footprints = &keyset.footprints;
         debug_assert_eq!(keys.len(), entries.len() * stands.len());
         debug_assert_eq!(footprints.len(), keys.len());
+        let mut pending = vec![0usize; keys.len()];
+        for job in jobs {
+            pending[job.cell] += 1;
+        }
         let mut records = Vec::with_capacity(keys.len());
         let mut formats = Vec::with_capacity(keys.len());
-        let mut totals = Vec::with_capacity(keys.len());
-        let mut collectors = Vec::new();
+        let mut collectors = Vec::with_capacity(keys.len());
         let mut corrupt = Vec::new();
         let mut bytes_read = 0u64;
         let mut footprint_bytes = 0u64;
@@ -726,15 +710,11 @@ impl CacheRuntime {
                         None
                     }
                 });
-                totals.push(entry.suite.tests.len());
-                if collect_tests {
-                    collectors.push(Mutex::new(Collector {
-                        outcomes: vec![None; entry.suite.tests.len()],
-                        filled: 0,
-                        executed: false,
-                        stored: false,
-                    }));
-                }
+                collectors.push(Mutex::new(Collector {
+                    outcomes: vec![None; entry.suite.tests.len()],
+                    pending: pending[cell],
+                    executed: false,
+                }));
                 cell += 1;
             }
         }
@@ -742,13 +722,12 @@ impl CacheRuntime {
         obs.add(Counter::FootprintBytes, footprint_bytes);
         Arc::new(Self {
             cache,
-            verify,
-            keying,
+            verify: campaign.cache_verify,
+            keying: campaign.cache_keying,
             keys: keys.to_vec(),
             footprints: footprints.to_vec(),
             records,
             formats,
-            totals,
             collectors,
             corrupt,
             mismatches: AtomicUsize::new(0),
@@ -772,25 +751,18 @@ impl CacheRuntime {
         }
     }
 
-    /// Whether [`CacheRuntime::admit_test`] will serve this (cell, test)
-    /// job from the cache. Records are pre-loaded before packaging and
-    /// immutable for the launch, so this prediction is exact — packaging
-    /// uses it to skip building DUT devices for jobs that will never run.
-    pub(crate) fn will_hit_test(&self, cell: usize, test: usize) -> bool {
-        !self.verify
-            && self.records[cell]
-                .as_ref()
-                .is_some_and(|r| r.test_outcome(test).is_some())
+    /// The preloaded record's outcomes for a job's range, if it determines
+    /// the range (see [`CellRecord::range_outcomes`]).
+    fn cached(&self, cell: usize, tests: Range<usize>) -> Option<&[TestJobOutcome]> {
+        self.records[cell].as_ref()?.range_outcomes(tests)
     }
 
-    /// Whether [`CacheRuntime::admit_cell`] will serve this whole cell
-    /// from the cache — the cell-granular counterpart of
-    /// [`CacheRuntime::will_hit_test`].
-    pub(crate) fn will_hit_cell(&self, cell: usize) -> bool {
-        !self.verify
-            && self.records[cell]
-                .as_ref()
-                .is_some_and(CellRecord::is_determined)
+    /// Whether [`CacheRuntime::admit`] will serve this job from the cache.
+    /// Records are pre-loaded before packaging and immutable for the
+    /// launch, so this prediction is exact — packaging uses it to skip
+    /// building DUT devices for jobs that will never run.
+    pub(crate) fn will_hit(&self, cell: usize, tests: Range<usize>) -> bool {
+        !self.verify && self.cached(cell, tests).is_some()
     }
 
     /// Bumps the per-format hit counter for a cell served from a
@@ -807,85 +779,42 @@ impl CacheRuntime {
         }
     }
 
-    /// Test-granular admission: the cached outcome for one (cell, test)
-    /// job, or `None` (miss / verify mode — the job must execute). A hit
-    /// also feeds the cell's store accumulator so mixed warm/cold cells
-    /// can complete their record.
-    pub(crate) fn admit_test(&self, cell: usize, test: usize) -> Option<TestJobOutcome> {
+    /// Admission: the cached outcomes of one job's range, or `None` (miss
+    /// / undetermined range / verify mode — the job must execute). A hit
+    /// on a partial record also feeds the cell's store accumulator, so
+    /// mixed warm/cold cells can complete their record.
+    pub(crate) fn admit(&self, cell: usize, tests: Range<usize>) -> Option<Vec<TestJobOutcome>> {
         if self.verify {
             return None;
         }
-        let record = self.records[cell].as_ref()?;
-        let outcome = record.test_outcome(test)?.clone();
+        let first = tests.start;
+        let outcomes = self.cached(cell, tests)?.to_vec();
         self.count_format_hit(cell);
         // A complete record can never need re-storing, so fully-warm cells
         // skip the accumulator entirely (a 10k-test warm run would
-        // otherwise clone every outcome twice for nothing); partial
-        // records keep feeding it so mixed warm/cold cells can finish
-        // their record.
-        if !record.is_complete() {
-            self.note(cell, test, &outcome, false);
+        // otherwise clone every outcome twice for nothing).
+        if !self.records[cell]
+            .as_ref()
+            .is_some_and(CellRecord::is_complete)
+        {
+            self.note(cell, first, &outcomes, false);
         }
-        Some(outcome)
+        Some(outcomes)
     }
 
-    /// Cell-granular admission: the determined whole-cell outcome, or
-    /// `None` (miss / undetermined record / verify mode).
-    pub(crate) fn admit_cell(&self, cell: usize, suite: &str, stand: &str) -> Option<CampaignCell> {
+    /// Reports one *executed* job's determined outcomes (its range from
+    /// test `first`): feeds the store accumulator and, in verify mode,
+    /// compares against the cached outcomes of the same range.
+    pub(crate) fn finish(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome]) {
         if self.verify {
-            return None;
-        }
-        let outcome = self.records[cell].as_ref()?.cell_outcome(suite, stand)?;
-        self.count_format_hit(cell);
-        Some(outcome)
-    }
-
-    /// Reports one *executed* test outcome: feeds the store accumulator
-    /// and, in verify mode, compares against the cached outcome.
-    pub(crate) fn finish_test(&self, cell: usize, test: usize, outcome: &TestJobOutcome) {
-        if self.verify {
-            if let Some(cached) = self.records[cell]
-                .as_ref()
-                .and_then(|r| r.test_outcome(test))
-            {
-                if cached != outcome {
+            let range = first..first + outcomes.len();
+            if let Some(cached) = self.cached(cell, range) {
+                if cached != outcomes {
                     self.mismatches.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.note(cell, test, outcome, true);
-    }
-
-    /// Reports one *executed* cell's determined per-test outcomes: stores
-    /// the record and, in verify mode, compares the folded cell outcome
-    /// against the cached one.
-    pub(crate) fn finish_cell(
-        &self,
-        cell: usize,
-        suite: &str,
-        stand: &str,
-        tests: &[TestJobOutcome],
-    ) {
-        if self.verify {
-            if let Some(cached) = self.records[cell]
-                .as_ref()
-                .and_then(|r| r.cell_outcome(suite, stand))
-            {
-                let executed = fold_cell(suite.to_owned(), stand.to_owned(), tests.to_vec());
-                if cached != executed {
-                    self.mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let written = self.cache.store_io(
-            &self.keys[cell],
-            &CellRecord {
-                total: self.totals[cell],
-                tests: tests.to_vec(),
-                footprint: self.footprints[cell].clone(),
-            },
-        );
-        self.obs.add(Counter::CacheBytesWritten, written);
+        self.note(cell, first, outcomes, true);
     }
 
     /// Number of cached-vs-executed divergences seen in verify mode.
@@ -902,29 +831,35 @@ impl CacheRuntime {
         }
     }
 
-    fn note(&self, cell: usize, test: usize, outcome: &TestJobOutcome, executed: bool) {
+    /// Accumulates one range's report; the last report of a cell with at
+    /// least one executed outcome stores the cell's determined prefix.
+    fn note(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome], executed: bool) {
         let mut c = self.collectors[cell].lock().expect("collector");
-        if c.outcomes[test].is_none() {
-            c.outcomes[test] = Some(outcome.clone());
-            c.filled += 1;
-        }
+        let Some(pending) = c.pending.checked_sub(1) else {
+            return;
+        };
+        c.pending = pending;
         c.executed |= executed;
-        if c.filled == c.outcomes.len() && c.executed && !c.stored {
-            c.stored = true;
-            let tests: Vec<TestJobOutcome> = c
-                .outcomes
-                .iter()
-                .map(|o| o.clone().expect("filled"))
-                .collect();
-            let record = CellRecord {
-                total: tests.len(),
-                tests,
-                footprint: self.footprints[cell].clone(),
-            };
-            drop(c);
-            let written = self.cache.store_io(&self.keys[cell], &record);
-            self.obs.add(Counter::CacheBytesWritten, written);
+        if pending == 0 && !c.executed {
+            // Every range was served from the cache: nothing to store.
+            return;
         }
+        for (slot, outcome) in c.outcomes[first..].iter_mut().zip(outcomes) {
+            slot.get_or_insert_with(|| outcome.clone());
+        }
+        if pending > 0 {
+            return;
+        }
+        let total = c.outcomes.len();
+        let tests: Vec<TestJobOutcome> = c.outcomes.iter_mut().map_while(Option::take).collect();
+        drop(c);
+        let record = CellRecord {
+            total,
+            tests,
+            footprint: self.footprints[cell].clone(),
+        };
+        let written = self.cache.store_io(&self.keys[cell], &record);
+        self.obs.add(Counter::CacheBytesWritten, written);
     }
 }
 
@@ -944,7 +879,7 @@ impl fmt::Debug for CacheRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comptest_core::Trace;
+    use comptest_core::{TestResult, Trace};
 
     fn result(test: &str) -> TestResult {
         TestResult {

@@ -2,6 +2,7 @@
 //! launchable on any [`CampaignExecutor`].
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -56,6 +57,20 @@ impl FromStr for Granularity {
             )),
         }
     }
+}
+
+/// One planned job of a campaign: a contiguous range of one cell's tests
+/// (see [`Campaign::plan_jobs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct JobRange {
+    /// Index into the result matrix (entry-major, stand-minor).
+    pub(crate) cell: usize,
+    /// Index of the campaign entry.
+    pub(crate) entry: usize,
+    /// Index into the stand list.
+    pub(crate) stand: usize,
+    /// The entry's suite tests this job runs.
+    pub(crate) tests: Range<usize>,
 }
 
 /// One campaign, described once and launchable on any executor: the
@@ -287,6 +302,33 @@ impl<'a, 'b> Campaign<'a, 'b> {
         }
     }
 
+    /// The deterministic job list — cells in matrix order (entries major,
+    /// stands minor), each cell's ranges in suite order: one whole-cell
+    /// range per cell at [`Granularity::Cell`], one range per test at
+    /// [`Granularity::Test`]. This and [`Campaign::job_count`] are the only
+    /// places the granularity decides what a job runs.
+    pub(crate) fn plan_jobs(&self) -> Vec<JobRange> {
+        let n_stands = self.stands.len();
+        let mut jobs = Vec::with_capacity(self.job_count());
+        for (entry, e) in self.entries.iter().enumerate() {
+            let n_tests = e.suite.tests.len();
+            for stand in 0..n_stands {
+                let cell = entry * n_stands + stand;
+                let job = |tests| JobRange {
+                    cell,
+                    entry,
+                    stand,
+                    tests,
+                };
+                match self.granularity {
+                    Granularity::Cell => jobs.push(job(0..n_tests)),
+                    Granularity::Test => jobs.extend((0..n_tests).map(|t| job(t..t + 1))),
+                }
+            }
+        }
+        jobs
+    }
+
     /// Validates the campaign shape: at least one entry, at least one
     /// stand, no duplicate stand names. Called by [`Campaign::launch`];
     /// exposed for callers that want to fail fast before building an
@@ -335,5 +377,103 @@ impl<'a, 'b> Campaign<'a, 'b> {
         executor: &E,
     ) -> Result<CampaignResult, CoreError> {
         Ok(self.launch(executor)?.join()?.result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use comptest_model::TestSuite;
+
+    /// Suites with the given test counts (the planner reads nothing else).
+    fn suites(counts: &[usize]) -> Vec<TestSuite> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let mut suite = TestSuite::new(format!("s{i}"));
+                for t in 0..n {
+                    suite
+                        .tests
+                        .push(comptest_model::TestCase::new(format!("t{t}")));
+                }
+                suite
+            })
+            .collect()
+    }
+
+    fn entries(suites: &[TestSuite]) -> Vec<CampaignEntry<'_>> {
+        suites
+            .iter()
+            .map(|suite| CampaignEntry {
+                suite,
+                device_factory: Box::new(|| {
+                    comptest_dut::ecus::interior_light::device(Default::default())
+                }),
+            })
+            .collect()
+    }
+
+    fn stands(n: usize) -> Vec<TestStand> {
+        (0..n)
+            .map(|i| {
+                let text = comptest_core::PAPER_STAND_A.replace("HIL-A", &format!("S{i}"));
+                TestStand::parse_str("a.stand", &text).unwrap()
+            })
+            .collect()
+    }
+
+    fn plan(counts: &[usize], n_stands: usize, granularity: Granularity) -> Vec<JobRange> {
+        let suites = suites(counts);
+        let entries = entries(&suites);
+        let stands = stands(n_stands);
+        let stands: Vec<&TestStand> = stands.iter().collect();
+        let campaign = Campaign::new(&entries, &stands).granularity(granularity);
+        let jobs = campaign.plan_jobs();
+        assert_eq!(jobs.len(), campaign.job_count());
+        jobs
+    }
+
+    /// Whole-cell jobs: one per cell, entries major, stands minor.
+    #[test]
+    fn plan_cells_is_entry_major() {
+        let jobs = plan(&[2, 0], 3, Granularity::Cell);
+        let layout: Vec<(usize, usize, usize, Range<usize>)> = jobs
+            .into_iter()
+            .map(|j| (j.cell, j.entry, j.stand, j.tests))
+            .collect();
+        assert_eq!(
+            layout,
+            vec![
+                (0, 0, 0, 0..2),
+                (1, 0, 1, 0..2),
+                (2, 0, 2, 0..2),
+                (3, 1, 0, 0..0),
+                (4, 1, 1, 0..0),
+                (5, 1, 2, 0..0),
+            ]
+        );
+    }
+
+    /// Single-test jobs: cell-major, tests minor, one range of length 1
+    /// per test (a test-less suite contributes no job).
+    #[test]
+    fn plan_test_jobs_is_cell_major_test_minor() {
+        let jobs = plan(&[2, 1, 0], 2, Granularity::Test);
+        let layout: Vec<(usize, usize, usize, Range<usize>)> = jobs
+            .into_iter()
+            .map(|j| (j.cell, j.entry, j.stand, j.tests))
+            .collect();
+        assert_eq!(
+            layout,
+            vec![
+                (0, 0, 0, 0..1),
+                (0, 0, 0, 1..2),
+                (1, 0, 1, 0..1),
+                (1, 0, 1, 1..2),
+                (2, 1, 0, 0..1),
+                (3, 1, 1, 0..1),
+            ]
+        );
     }
 }

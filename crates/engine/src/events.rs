@@ -124,25 +124,6 @@ pub enum EngineEvent {
         /// OS process id of the lost child.
         pid: u32,
     },
-    /// The campaign is complete.
-    ///
-    /// Only the deprecated shim entry points emit this terminal marker; in
-    /// the builder API the event stream simply ends and
-    /// [`CampaignHandle::join`](crate::CampaignHandle::join) returns the
-    /// totals as a [`CampaignOutcome`](crate::CampaignOutcome).
-    CampaignDone {
-        /// Tests passed across the matrix.
-        passed: usize,
-        /// Tests failed across the matrix.
-        failed: usize,
-        /// Tests errored across the matrix.
-        errored: usize,
-        /// Cells that could not be planned.
-        not_runnable: usize,
-        /// Jobs cancelled before they ran: whole cells at cell
-        /// granularity, single tests at test granularity.
-        cancelled: usize,
-    },
 }
 
 /// Sends one event, ignoring a dropped receiver: an abandoned event stream

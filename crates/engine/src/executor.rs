@@ -2,38 +2,45 @@
 //! in-order [`SerialExecutor`] reference and the [`PooledExecutor`] backed
 //! by a persistent [`WorkerPool`].
 //!
-//! All executors — serial, pooled and the async event loop — run the same
-//! *packaged* jobs produced by [`Prepared`]: scripts generated once per
-//! entry, stands cloned once, execution plans resolved lazily **once per
-//! (entry, test, stand) triple** through shared [`PlanSlot`]s that live on
-//! the [`Campaign`] value (so relaunching the same campaign — replay
-//! loops, watch mode, warm cache runs — never re-plans), and the campaign
-//! cache consulted at the exact admission point where a job would start.
+//! Every executor — serial, pooled, the async event loop and the remote
+//! orchestrator — schedules one kind of job, packaged by [`Prepared`]: a
+//! [`RangeJob`], one cell's contiguous range of tests that runs in order
+//! on one worker and stops at the first planning error.
+//! [`Granularity::Test`] packages ranges of length 1,
+//! [`Granularity::Cell`] whole-cell ranges; the granularity also picks the
+//! job's event shape, and nothing else depends on it. Scripts are
+//! generated once per entry, stands cloned once, execution plans resolved
+//! lazily **once per (entry, test, stand) triple** through shared
+//! [`PlanSlot`]s that live on the [`Campaign`] value (so relaunching the
+//! same campaign — replay loops, watch mode, warm cache runs — never
+//! re-plans), and the campaign cache is consulted at the exact admission
+//! point where a job would start.
 
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use comptest_core::campaign::{
-    merge_test_outcomes, plan_cells, plan_script, plan_test_jobs, CampaignCell, CampaignEntry,
-    CampaignResult, TestJobOutcome,
+    merge_job_outcomes, not_runnable_status, plan_script, CampaignCell, CampaignEntry,
+    TestJobOutcome,
 };
 use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
 use comptest_core::hash::{
     capture_footprint, hash_device, hash_exec_options, hash_stand, hash_suite, CellKey, Footprint,
 };
-use comptest_core::{StepProbe, TestRun};
+use comptest_core::{StepProbe, SuiteResult, TestRun};
 use comptest_dut::Device;
 use comptest_model::SimTime;
 use comptest_script::TestScript;
 use comptest_stand::{ExecutionPlan, TestStand};
 
-use crate::cache::{fold_cell, CacheKeying, CacheRuntime};
-use crate::campaign::{Campaign, Granularity};
+use crate::cache::{CacheKeying, CacheRuntime};
+use crate::campaign::{Campaign, Granularity, JobRange};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
-use crate::obs::{Counter, Gauge, Phase, Recorder, SpanCat};
+use crate::obs::{Counter, Gauge, Phase, Recorder, SpanCat, SpanHandle};
 use crate::pool::WorkerPool;
 
 /// A strategy for executing an already-validated [`Campaign`].
@@ -42,10 +49,15 @@ use crate::pool::WorkerPool;
 /// swappable without touching callers (pinned by the
 /// `executor_conformance` integration suite):
 ///
-/// * jobs come from the deterministic plans ([`plan_cells`] /
-///   [`plan_test_jobs`]) and outcomes merge back in that canonical order,
-///   so the joined [`CampaignResult`] is byte-identical across executors
-///   and worker counts;
+/// * there is one job shape: every job is one cell's contiguous range of
+///   tests from the deterministic plan (cell-major, ranges in suite order)
+///   — whole cells at [`Granularity::Cell`], single tests at
+///   [`Granularity::Test`] — and outcomes merge back in that canonical
+///   order, so the joined
+///   [`CampaignResult`](comptest_core::campaign::CampaignResult) is
+///   byte-identical across executors and worker counts;
+/// * a job runs its tests in order on one worker and stops at the first
+///   planning error;
 /// * the first codegen error surfaces from `launch` before any job runs;
 /// * cancellation is cooperative: the campaign's [`CancelToken`]
 ///   (`campaign.cancel`) and the per-run latch behind
@@ -53,8 +65,12 @@ use crate::pool::WorkerPool;
 ///   jobs count into [`CampaignOutcome::cancelled`], and a started job
 ///   always finishes — yielding the same prefix-truncation semantics at
 ///   every worker count;
-/// * events stream per cell at [`Granularity::Cell`] and per test at
-///   [`Granularity::Test`], and the stream ends when the last job reports;
+/// * the event shape follows the granularity: whole-cell jobs emit
+///   [`EngineEvent::JobStarted`]/[`EngineEvent::JobFinished`] and
+///   `CellCached { test: None }`, single-test jobs emit
+///   [`EngineEvent::TestStarted`]/[`EngineEvent::TestFinished`] and
+///   `CellCached { test: Some(_) }` — decided in one place for every
+///   executor — and the stream ends when the last job reports;
 /// * a configured campaign cache is consulted at the same admission point:
 ///   a hit emits [`EngineEvent::CellCached`] instead of the
 ///   started/finished pair, merges byte-identical to the executed outcome,
@@ -254,7 +270,8 @@ impl KeyStore {
 
 /// Everything a launch shares across jobs, prepared once on the launch
 /// thread: generated scripts (the codegen precheck), owned stands, the
-/// campaign's plan slots, and the cache runtime with pre-loaded records.
+/// campaign's plan slots, the job list ([`Campaign::plan_jobs`]) and the
+/// cache runtime with pre-loaded records.
 pub(crate) struct Prepared {
     scripts: Vec<Vec<Arc<TestScript>>>,
     stands: Vec<Arc<TestStand>>,
@@ -262,13 +279,16 @@ pub(crate) struct Prepared {
     /// Cumulative test counts: `offsets[e]` = tests of entries `0..e`.
     offsets: Vec<usize>,
     n_stands: usize,
+    granularity: Granularity,
+    jobs: Vec<JobRange>,
     pub(crate) cache: Option<Arc<CacheRuntime>>,
 }
 
 impl Prepared {
     /// Generates all scripts (surfacing the first codegen error before any
-    /// job runs), clones stands once, binds the campaign's plan slots and
-    /// pre-loads cache records in deterministic cell order.
+    /// job runs), clones stands once, binds the campaign's plan slots,
+    /// plans the job list and pre-loads cache records in deterministic
+    /// cell order.
     pub(crate) fn new(campaign: &Campaign<'_, '_>) -> Result<Self, CoreError> {
         let obs = &campaign.obs;
         let scripts = obs.time_phase(Phase::Codegen, || {
@@ -288,6 +308,7 @@ impl Prepared {
         offsets.push(total);
         let n_stands = campaign.stands.len();
         let slots = campaign.plans.slots(total * n_stands).to_vec();
+        let jobs = campaign.plan_jobs();
         let cache = campaign.cache.as_ref().map(|cache| {
             let keyset = campaign.keys.resolve(
                 campaign,
@@ -296,7 +317,7 @@ impl Prepared {
                 obs,
             );
             obs.time_phase(Phase::CachePreload, || {
-                CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, obs)
+                CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, &jobs, obs)
             })
         });
         Ok(Self {
@@ -304,7 +325,9 @@ impl Prepared {
             stands,
             slots,
             offsets,
-            n_stands: campaign.stands.len(),
+            n_stands,
+            granularity: campaign.granularity,
+            jobs,
             cache,
         })
     }
@@ -313,66 +336,51 @@ impl Prepared {
         Arc::clone(&self.slots[(self.offsets[entry] + test) * self.n_stands + stand])
     }
 
-    /// Packages the deterministic test-job list: scripts and stands are
-    /// `Arc`-shared, plan slots are shared per (entry, test, stand), and
-    /// every job that will actually *execute* gets its own freshly built
-    /// device (the serial pipeline power-cycles the DUT per test; building
-    /// up front keeps worker tasks `'static`). Records are pre-loaded and
-    /// immutable for the launch, so admission is predictable here:
-    /// predicted cache hits skip device construction entirely — a fully
-    /// warm run builds zero devices.
-    pub(crate) fn package_jobs(&self, entries: &[CampaignEntry<'_>]) -> Vec<PackagedJob> {
-        let counts: Vec<usize> = entries.iter().map(|e| e.suite.tests.len()).collect();
-        plan_test_jobs(&counts, self.n_stands)
-            .into_iter()
-            .map(|j| {
+    /// Packages the job list: scripts and stands are `Arc`-shared, plan
+    /// slots are shared per (entry, test, stand), and every test that will
+    /// actually *execute* gets its own freshly built device (the serial
+    /// pipeline power-cycles the DUT per test; building up front keeps
+    /// worker tasks `'static`). Records are pre-loaded and immutable for
+    /// the launch, so admission is predictable here: predicted cache hits
+    /// skip device construction entirely — a fully warm run builds zero
+    /// devices.
+    pub(crate) fn package(&self, entries: &[CampaignEntry<'_>]) -> Vec<RangeJob> {
+        self.jobs
+            .iter()
+            .enumerate()
+            .map(|(slot, j)| {
                 let hit = self
                     .cache
                     .as_ref()
-                    .is_some_and(|c| c.will_hit_test(j.cell, j.test));
-                PackagedJob {
-                    job: j.job,
-                    cell: j.cell,
-                    test: j.test,
-                    entry: j.entry,
-                    suite: entries[j.entry].suite.name.clone(),
-                    stand_name: self.stands[j.stand].name().to_owned(),
-                    name: entries[j.entry].suite.tests[j.test].name.clone(),
-                    script: Arc::clone(&self.scripts[j.entry][j.test]),
-                    stand: Arc::clone(&self.stands[j.stand]),
-                    plan: self.slot(j.entry, j.test, j.stand),
-                    device: (!hit).then(|| entries[j.entry].device_factory.build()),
-                }
-            })
-            .collect()
-    }
-
-    /// Packages the deterministic cell list for cell-granular runs. As
-    /// with [`Prepared::package_jobs`], predicted whole-cell cache hits
-    /// skip device construction for every test of the cell.
-    pub(crate) fn package_cells(&self, entries: &[CampaignEntry<'_>]) -> Vec<PackagedCell> {
-        plan_cells(entries.len(), self.n_stands)
-            .into_iter()
-            .map(|j| {
-                let hit = self.cache.as_ref().is_some_and(|c| c.will_hit_cell(j.cell));
-                PackagedCell {
+                    .is_some_and(|c| c.will_hit(j.cell, j.tests.clone()));
+                let entry = &entries[j.entry];
+                RangeJob {
+                    slot,
                     cell: j.cell,
                     entry: j.entry,
-                    suite: entries[j.entry].suite.name.clone(),
+                    first: j.tests.start,
+                    granularity: self.granularity,
+                    suite: entry.suite.name.clone(),
                     stand_name: self.stands[j.stand].name().to_owned(),
                     stand: Arc::clone(&self.stands[j.stand]),
-                    tests: self.scripts[j.entry]
-                        .iter()
-                        .enumerate()
-                        .map(|(t, script)| PackagedTest {
-                            script: Arc::clone(script),
+                    tests: j
+                        .tests
+                        .clone()
+                        .map(|t| RangeTest {
+                            script: Arc::clone(&self.scripts[j.entry][t]),
                             plan: self.slot(j.entry, t, j.stand),
-                            device: (!hit).then(|| entries[j.entry].device_factory.build()),
+                            device: (!hit).then(|| entry.device_factory.build()),
                         })
                         .collect(),
                 }
             })
             .collect()
+    }
+
+    /// The matrix cell of every job, in plan order — what the join merges
+    /// by.
+    pub(crate) fn job_cells(&self) -> Vec<usize> {
+        self.jobs.iter().map(|j| j.cell).collect()
     }
 }
 
@@ -423,93 +431,441 @@ impl JobCtx {
     }
 
     /// Emits the cache-corruption warnings collected at preload, if any —
-    /// called by every launch path right after its event channel exists.
-    pub(crate) fn emit_cache_warnings(&self, events: &Sender<EngineEvent>) {
+    /// called right after a launch's event channel exists.
+    fn emit_cache_warnings(&self, events: &Sender<EngineEvent>) {
         if let Some(runtime) = &self.cache {
             runtime.emit_corrupt_warnings(events);
         }
     }
+}
 
-    /// Serves one test-granular job from the cache if possible: emits
-    /// [`EngineEvent::CellCached`], trips the stop latch on a cached
-    /// failure and reports the outcome. Returns `true` when the job was
-    /// served — the one hit sequence shared by the blocking and async
-    /// admission paths, so hit semantics cannot drift between executors.
-    pub(crate) fn try_cached_test(
-        &self,
-        job: &PackagedJob,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> bool {
-        let Some(runtime) = &self.cache else {
-            return false;
-        };
-        let Some(outcome) = runtime.admit_test(job.cell, job.test) else {
-            self.obs.inc(Counter::CacheMisses);
-            return false;
-        };
-        self.obs.inc(Counter::CacheHits);
-        self.obs.inc(Counter::JobsCached);
-        let (status, failed) = outcome_status(&outcome);
-        emit(
-            events,
-            EngineEvent::CellCached {
-                cell: job.cell,
-                test: Some(job.test),
-                suite: job.suite.clone(),
-                stand: job.stand_name.clone(),
-                status,
-            },
-        );
-        if failed && self.stop {
-            self.cancel.trip();
-        }
-        let _ = results.send(JobMsg::Done(job.job, outcome));
-        true
+/// The one job shape every executor schedules: a contiguous range of one
+/// cell's tests, owned, that runs in order on one worker (pool thread,
+/// async shard or worker process) and stops at the first planning error.
+pub(crate) struct RangeJob {
+    /// Merge-slot index (the job's position in plan order).
+    pub(crate) slot: usize,
+    pub(crate) cell: usize,
+    /// Index into the campaign's entries — lets the join rebuild devices
+    /// through the entry's `DeviceFactory` when a predicted hit strands.
+    pub(crate) entry: usize,
+    /// Suite index of the range's first test.
+    pub(crate) first: usize,
+    /// Decides the job's event shape (and nothing else).
+    granularity: Granularity,
+    pub(crate) suite: String,
+    pub(crate) stand_name: String,
+    pub(crate) stand: Arc<TestStand>,
+    pub(crate) tests: Vec<RangeTest>,
+}
+
+/// One test of a [`RangeJob`]: its script, the shared plan slot and a
+/// fresh device (`None` when packaging predicted a cache hit).
+pub(crate) struct RangeTest {
+    pub(crate) script: Arc<TestScript>,
+    pub(crate) plan: Arc<PlanSlot>,
+    pub(crate) device: Option<Device>,
+}
+
+impl RangeJob {
+    /// The suite indices this job runs.
+    fn range(&self) -> Range<usize> {
+        self.first..self.first + self.tests.len()
     }
 
-    /// Serves one whole-cell job from the cache if possible — the
-    /// cell-granular counterpart of [`JobCtx::try_cached_test`].
-    pub(crate) fn try_cached_cell(
-        &self,
-        cell: &PackagedCell,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> bool {
-        let Some(runtime) = &self.cache else {
-            return false;
-        };
-        let Some(cached) = runtime.admit_cell(cell.cell, &cell.suite, &cell.stand_name) else {
-            self.obs.inc(Counter::CacheMisses);
-            return false;
-        };
-        self.obs.inc(Counter::CacheHits);
-        self.obs.inc(Counter::JobsCached);
-        emit(
-            events,
-            EngineEvent::CellCached {
-                cell: cell.cell,
-                test: None,
-                suite: cached.suite.clone(),
-                stand: cached.stand.clone(),
-                status: cached.status(),
-            },
-        );
-        if !cached.passed() && self.stop {
-            self.cancel.trip();
+    fn test_span(&self, obs: &Recorder, index: usize) -> SpanHandle {
+        obs.span_begin(SpanCat::Test, || {
+            format!("{}::{}", self.suite, self.tests[index].script.name)
+        })
+    }
+}
+
+// Event shapes: the one place a job's granularity decides what it
+// reports. Whole-cell jobs report per cell, single-test jobs per test.
+impl RangeJob {
+    /// `suite @ stand` / `suite::test` — how `JobsLost` names the job.
+    pub(crate) fn label(&self) -> String {
+        match self.granularity {
+            Granularity::Cell => format!("{} @ {}", self.suite, self.stand_name),
+            Granularity::Test => format!("{}::{}", self.suite, self.tests[0].script.name),
         }
-        let _ = results.send(JobMsg::Done(cell.cell, cached));
-        true
+    }
+
+    /// The event announcing that a worker picked the job up.
+    pub(crate) fn started_event(&self) -> EngineEvent {
+        match self.granularity {
+            Granularity::Cell => EngineEvent::JobStarted {
+                cell: self.cell,
+                suite: self.suite.clone(),
+                stand: self.stand_name.clone(),
+            },
+            Granularity::Test => EngineEvent::TestStarted {
+                cell: self.cell,
+                test: self.first,
+                suite: self.suite.clone(),
+                stand: self.stand_name.clone(),
+                name: self.tests[0].script.name.clone(),
+            },
+        }
+    }
+
+    /// The span bracketing a whole-cell job (single tests have only their
+    /// test span).
+    fn cell_span(&self, obs: &Recorder) -> Option<SpanHandle> {
+        match self.granularity {
+            Granularity::Cell => Some(obs.span_begin(SpanCat::Cell, || {
+                format!("{} on {}", self.suite, self.stand_name)
+            })),
+            Granularity::Test => None,
+        }
+    }
+
+    /// Short status line and failed flag of the job's determined outcomes.
+    fn status(&self, outcomes: &mut Vec<TestJobOutcome>) -> (String, bool) {
+        match self.granularity {
+            Granularity::Cell => cell_status(outcomes),
+            Granularity::Test => outcome_status(&outcomes[0]),
+        }
+    }
+
+    /// The event reporting the executed job; `wall` is its last test's
+    /// wall time (a single-test job's only one).
+    fn finished_event(self, status: String, failed: bool, wall: Duration) -> EngineEvent {
+        match self.granularity {
+            Granularity::Cell => EngineEvent::JobFinished {
+                cell: self.cell,
+                suite: self.suite,
+                stand: self.stand_name,
+                status,
+                failed,
+            },
+            Granularity::Test => EngineEvent::TestFinished {
+                cell: self.cell,
+                test: self.first,
+                suite: self.suite,
+                stand: self.stand_name,
+                name: self.tests[0].script.name.clone(),
+                status,
+                failed,
+                duration: wall,
+            },
+        }
+    }
+
+    /// The event reporting the job served from the cache.
+    fn cached_event(self, status: String) -> EngineEvent {
+        EngineEvent::CellCached {
+            cell: self.cell,
+            test: (self.granularity == Granularity::Test).then_some(self.first),
+            suite: self.suite,
+            stand: self.stand_name,
+            status,
+        }
+    }
+}
+
+/// Status line and failed flag of a whole cell's outcomes, exactly as the
+/// merged [`CampaignCell`] renders them. Passing outcomes move through a
+/// temporary cell and back, so no result is cloned.
+fn cell_status(outcomes: &mut Vec<TestJobOutcome>) -> (String, bool) {
+    if let Some(reason) = outcomes.iter().find_map(|o| o.as_ref().err()) {
+        return (not_runnable_status(reason), true);
+    }
+    let results = std::mem::take(outcomes).into_iter().flatten().collect();
+    let cell = CampaignCell {
+        suite: String::new(),
+        stand: String::new(),
+        outcome: Ok(SuiteResult {
+            suite: String::new(),
+            results,
+        }),
+    };
+    let status = (cell.status(), !cell.passed());
+    if let Ok(suite) = cell.outcome {
+        *outcomes = suite.results.into_iter().map(Ok).collect();
+    }
+    status
+}
+
+/// Short status line and failed flag of one test outcome — one
+/// implementation for every executor, so events agree byte-for-byte. The
+/// planning-failure reason is rendered the same way cell status lines
+/// render it (`NOT RUNNABLE (<first line, truncated>)`), so live per-test
+/// progress says *why* a test could not run.
+fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
+    let status = match outcome {
+        Ok(result) => result.verdict().to_string(),
+        Err(reason) => not_runnable_status(reason),
+    };
+    let failed = !matches!(outcome, Ok(r) if r.passed());
+    (status, failed)
+}
+
+/// The simulated end time of one outcome (`0` for planning failures) —
+/// what `test_sim_micros` metrics record.
+fn outcome_sim_end(outcome: &TestJobOutcome) -> SimTime {
+    match outcome {
+        Ok(result) => result.sim_duration(),
+        Err(_) => SimTime::ZERO,
+    }
+}
+
+/// What a job reports back to the joining collector.
+pub(crate) enum JobMsg {
+    /// The determined outcomes of the job in slot `usize`: every test of
+    /// its range, or the prefix up to the planning error that stopped it.
+    Done(usize, Vec<TestJobOutcome>),
+    /// The job observed cancellation and never ran (or, on the async
+    /// executor, was abandoned at a step boundary).
+    Cancelled,
+    /// The job missed the cache at admission although packaging predicted
+    /// a hit (and therefore skipped its device builds). Worker tasks are
+    /// `'static` and cannot borrow the campaign's
+    /// [`DeviceFactory`](comptest_core::campaign::DeviceFactory), so the job
+    /// travels back to the join thread, which *can* borrow the entries and
+    /// rebuild the devices there.
+    Stranded(Box<RangeJob>),
+}
+
+/// Drains exactly `jobs` collector messages into merge slots, counting
+/// acknowledged cancellations and gathering stranded jobs for the join's
+/// rescue pass (every job sends exactly one message, stranded or not).
+fn collect(
+    results: Receiver<JobMsg>,
+    jobs: usize,
+) -> (Vec<Option<Vec<TestJobOutcome>>>, usize, Vec<RangeJob>) {
+    let mut slots: Vec<Option<Vec<TestJobOutcome>>> = (0..jobs).map(|_| None).collect();
+    let mut acknowledged = 0usize;
+    let mut strands = Vec::new();
+    for msg in results.iter().take(jobs) {
+        match msg {
+            JobMsg::Done(slot, outcomes) => slots[slot] = Some(outcomes),
+            JobMsg::Cancelled => acknowledged += 1,
+            JobMsg::Stranded(job) => strands.push(*job),
+        }
+    }
+    (slots, acknowledged, strands)
+}
+
+/// Admits one job where it would start — the one admission sequence every
+/// executor shares: a cancelled run skips the job, a cache hit serves it
+/// (emitting [`EngineEvent::CellCached`] and tripping the stop latch on a
+/// cached failure), and a predicted hit that missed after all strands it
+/// back to the join before any started event leaks out. Returns the job
+/// when it must execute.
+pub(crate) fn admit(
+    job: RangeJob,
+    ctx: &JobCtx,
+    events: &Sender<EngineEvent>,
+    results: &Sender<JobMsg>,
+) -> Option<RangeJob> {
+    if ctx.cancel.is_cancelled() {
+        let _ = results.send(JobMsg::Cancelled);
+        return None;
+    }
+    if let Some(runtime) = &ctx.cache {
+        let Some(mut outcomes) = runtime.admit(job.cell, job.range()) else {
+            ctx.obs.inc(Counter::CacheMisses);
+            return strand_or_run(job, results);
+        };
+        ctx.obs.inc(Counter::CacheHits);
+        ctx.obs.inc(Counter::JobsCached);
+        let (status, failed) = job.status(&mut outcomes);
+        let slot = job.slot;
+        emit(events, job.cached_event(status));
+        if failed && ctx.stop {
+            ctx.cancel.trip();
+        }
+        let _ = results.send(JobMsg::Done(slot, outcomes));
+        return None;
+    }
+    strand_or_run(job, results)
+}
+
+fn strand_or_run(job: RangeJob, results: &Sender<JobMsg>) -> Option<RangeJob> {
+    if job.tests.iter().any(|t| t.device.is_none()) {
+        let _ = results.send(JobMsg::Stranded(Box::new(job)));
+        return None;
+    }
+    Some(job)
+}
+
+/// An admitted job in flight: its outcomes so far, its open
+/// trace spans and its claim on the in-flight gauge. Blocking executors
+/// drive it in a loop, the async executor one step at a time, and the
+/// remote executor replays a worker's shipped outcomes through it — so
+/// counters, spans, cache reports and events are the same everywhere.
+pub(crate) struct RangeRun {
+    job: RangeJob,
+    outcomes: Vec<TestJobOutcome>,
+    /// Wall time of the last recorded test.
+    wall: Duration,
+    cell_span: Option<SpanHandle>,
+    /// The running test's span and start instant.
+    current: Option<(SpanHandle, Instant)>,
+}
+
+impl RangeRun {
+    /// Starts an admitted job (the caller has emitted its started event).
+    pub(crate) fn start(job: RangeJob, ctx: &JobCtx) -> Self {
+        ctx.obs.gauge_add(Gauge::InflightJobs, 1);
+        let cell_span = job.cell_span(&ctx.obs);
+        Self {
+            outcomes: Vec::with_capacity(job.tests.len()),
+            wall: Duration::ZERO,
+            job,
+            cell_span,
+            current: None,
+        }
+    }
+
+    /// Starts the next test: resolves its shared plan slot and takes its
+    /// device. `None` once the job is done — every test ran, or the test
+    /// just started could not be planned (that planning error is recorded
+    /// as the job's last outcome).
+    pub(crate) fn next_test(&mut self, ctx: &JobCtx) -> Option<(Arc<ExecutionPlan>, Device)> {
+        let index = self.outcomes.len();
+        if index == self.job.tests.len() || matches!(self.outcomes.last(), Some(Err(_))) {
+            return None;
+        }
+        self.current = Some((self.job.test_span(&ctx.obs, index), Instant::now()));
+        let test = &mut self.job.tests[index];
+        let planned = test.plan.resolve(&test.script, &self.job.stand, &ctx.obs);
+        match (planned, test.device.take()) {
+            (Ok(plan), Some(device)) => Some((plan, device)),
+            (Err(reason), _) => {
+                self.record(Err(reason), ctx);
+                None
+            }
+            // Unreachable after admission's strand check; degrade to a
+            // planning failure ending the job rather than panic the worker.
+            (Ok(_), None) => {
+                self.record(Err("internal: packaged test lost its device".into()), ctx);
+                None
+            }
+        }
+    }
+
+    /// Records the outcome of the test [`RangeRun::next_test`] started.
+    pub(crate) fn record(&mut self, outcome: TestJobOutcome, ctx: &JobCtx) {
+        if let Some((span, started)) = self.current.take() {
+            self.push(span, outcome, started.elapsed(), ctx);
+        }
+    }
+
+    /// Records the next test's outcome as executed elsewhere in `wall`
+    /// (a worker process); its span opens and closes on receipt.
+    pub(crate) fn record_shipped(&mut self, outcome: TestJobOutcome, wall: Duration, ctx: &JobCtx) {
+        let span = self.job.test_span(&ctx.obs, self.outcomes.len());
+        self.push(span, outcome, wall, ctx);
+    }
+
+    fn push(&mut self, span: SpanHandle, outcome: TestJobOutcome, wall: Duration, ctx: &JobCtx) {
+        ctx.obs.inc(Counter::TestsExecuted);
+        ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
+        ctx.obs.span_end(span, || Some(outcome_status(&outcome).0));
+        self.outcomes.push(outcome);
+        self.wall = wall;
+    }
+
+    /// Completes the job: reports its outcomes to the cache, emits the
+    /// finished event, trips `stop_on_first_fail` on a failure and reports
+    /// the outcomes to the collector.
+    pub(crate) fn finish(
+        self,
+        ctx: &JobCtx,
+        events: &Sender<EngineEvent>,
+        results: &Sender<JobMsg>,
+    ) {
+        let RangeRun {
+            job,
+            mut outcomes,
+            wall,
+            cell_span,
+            ..
+        } = self;
+        if let Some(runtime) = &ctx.cache {
+            runtime.finish(job.cell, job.first, &outcomes);
+        }
+        let (status, failed) = job.status(&mut outcomes);
+        ctx.obs.gauge_add(Gauge::InflightJobs, -1);
+        ctx.obs.inc(Counter::JobsExecuted);
+        if let Some(span) = cell_span {
+            ctx.obs.span_end(span, || Some(status.clone()));
+        }
+        let slot = job.slot;
+        emit(events, job.finished_event(status, failed, wall));
+        if failed && ctx.stop {
+            ctx.cancel.trip();
+        }
+        let _ = results.send(JobMsg::Done(slot, outcomes));
+    }
+
+    /// Abandons the job at a step boundary (the async executor's
+    /// cancellation): its spans close, its in-flight claim is released and
+    /// it reports as cancelled — finished tests are discarded.
+    pub(crate) fn abandon(self, ctx: &JobCtx, results: &Sender<JobMsg>) {
+        for span in [self.current.map(|(span, _)| span), self.cell_span]
+            .into_iter()
+            .flatten()
+        {
+            ctx.obs.span_end(span, || Some("cancelled".into()));
+        }
+        ctx.obs.gauge_add(Gauge::InflightJobs, -1);
+        let _ = results.send(JobMsg::Cancelled);
+    }
+}
+
+/// Admits one job and, unless admission resolved it, executes it on the
+/// calling thread — the blocking executors' whole job.
+fn run_range(job: RangeJob, ctx: &JobCtx, events: &Sender<EngineEvent>, results: &Sender<JobMsg>) {
+    if let Some(job) = admit(job, ctx, events, results) {
+        execute_range(job, ctx, events, results);
+    }
+}
+
+/// Executes an admitted job to completion on the calling thread: the
+/// started event, each test in order against its own device, the finish.
+pub(crate) fn execute_range(
+    job: RangeJob,
+    ctx: &JobCtx,
+    events: &Sender<EngineEvent>,
+    results: &Sender<JobMsg>,
+) {
+    emit(events, job.started_event());
+    let mut run = RangeRun::start(job, ctx);
+    while let Some((plan, mut device)) = run.next_test(ctx) {
+        let result = execute_plan(&plan, &mut device, ctx);
+        run.record(Ok(result), ctx);
+    }
+    run.finish(ctx, events, results);
+}
+
+/// Executes a resolved plan against the device. With observability
+/// enabled the run is driven step by step through a probe-attached
+/// [`TestRun`], which records per-step spans and worker-utilization time;
+/// the result is byte-identical to the plain `execute` fast path either
+/// way.
+fn execute_plan(
+    plan: &ExecutionPlan,
+    device: &mut Device,
+    ctx: &JobCtx,
+) -> comptest_core::TestResult {
+    match &ctx.step_probe {
+        None => comptest_core::execute(plan, device, &ctx.exec),
+        Some(probe) => {
+            let mut run = TestRun::new(plan, device, &ctx.exec).with_probe(Arc::clone(probe));
+            loop {
+                if let RunState::Finished(result) = run.step() {
+                    break result;
+                }
+            }
+        }
     }
 }
 
 /// Resolves the shared plan slot and executes against the device — the
-/// single plan-then-run step every blocking execution path goes through
-/// (the async executor resolves the same slots but parks a [`TestRun`]
-/// instead of driving to completion). With observability enabled the run
-/// is driven step by step through a probe-attached [`TestRun`], which
-/// records per-step spans and worker-utilization time; the result is
-/// byte-identical to the plain `execute` fast path either way.
+/// plan-then-run step of one test, as worker processes run it.
 pub(crate) fn plan_and_execute(
     slot: &PlanSlot,
     script: &TestScript,
@@ -517,35 +873,146 @@ pub(crate) fn plan_and_execute(
     device: &mut Device,
     ctx: &JobCtx,
 ) -> TestJobOutcome {
-    match slot.resolve(script, stand, &ctx.obs) {
-        Ok(plan) => Ok(match &ctx.step_probe {
-            None => comptest_core::execute(&plan, device, &ctx.exec),
-            Some(probe) => {
-                let mut run =
-                    TestRun::new(plan.as_ref(), device, &ctx.exec).with_probe(Arc::clone(probe));
-                loop {
-                    if let RunState::Finished(result) = run.step() {
-                        break result;
-                    }
-                }
-            }
-        }),
-        Err(reason) => Err(reason),
+    slot.resolve(script, stand, &ctx.obs)
+        .map(|plan| execute_plan(&plan, device, ctx))
+}
+
+/// Executes stranded jobs on the join thread: the devices are rebuilt via
+/// the campaign's entry factory and the job runs through the same
+/// [`execute_range`] as on a worker. The event stream has closed by join
+/// time, so rescue emits no events; the merged result is still
+/// byte-identical to a worker execution.
+fn rescue_strands(
+    strands: Vec<RangeJob>,
+    entries: &[CampaignEntry<'_>],
+    ctx: &JobCtx,
+    slots: &mut [Option<Vec<TestJobOutcome>>],
+) {
+    let (events, _) = mpsc::channel();
+    let (results, rescued) = mpsc::channel();
+    for mut job in strands {
+        let factory = &entries[job.entry].device_factory;
+        for test in &mut job.tests {
+            test.device.get_or_insert_with(|| factory.build());
+        }
+        execute_range(job, ctx, &events, &results);
+    }
+    drop(results);
+    for msg in rescued {
+        if let JobMsg::Done(slot, outcomes) = msg {
+            slots[slot] = Some(outcomes);
+        }
     }
 }
 
-/// The simulated end time of one outcome (`0` for planning failures) —
-/// what `test_sim_micros` metrics record.
-pub(crate) fn outcome_sim_end(outcome: &TestJobOutcome) -> SimTime {
-    match outcome {
-        Ok(result) => result.sim_duration(),
-        Err(_) => SimTime::ZERO,
+/// Every job either reports an outcome or acknowledges cancellation; a
+/// slot missing *without* an acknowledgement means a worker died mid-job
+/// (a panic caught by the pool). Surface it instead of returning a
+/// silently truncated — possibly all-green — result.
+fn check_lost(cancelled: usize, acknowledged: usize) -> Result<(), CoreError> {
+    let lost = cancelled.saturating_sub(acknowledged);
+    if lost > 0 {
+        return Err(CoreError::JobsLost {
+            lost,
+            jobs: Vec::new(),
+        });
+    }
+    Ok(())
+}
+
+/// One launch as every executor drives it: [`Launch::new`] prepares and
+/// packages the jobs and opens the channels they report into; the
+/// executor runs the jobs however it schedules them; and
+/// [`Launch::into_handle`] builds the handle whose join collects, rescues
+/// strands, merges and checks — identically for every executor.
+pub(crate) struct Launch<'a, 'b> {
+    entries: &'a [CampaignEntry<'b>],
+    stands: &'a [&'a TestStand],
+    pub(crate) ctx: JobCtx,
+    events: Receiver<EngineEvent>,
+    results: Receiver<JobMsg>,
+    cells: Vec<usize>,
+}
+
+/// A prepared [`Launch`] with its packaged jobs in plan order and the
+/// senders they report into (dropping the senders ends the streams).
+type Launched<'a, 'b> = (
+    Launch<'a, 'b>,
+    Vec<RangeJob>,
+    Sender<EngineEvent>,
+    Sender<JobMsg>,
+);
+
+impl<'a, 'b> Launch<'a, 'b> {
+    /// Prepares the campaign (surfacing codegen errors before any job
+    /// runs), packages its jobs and emits the cache-corruption warnings.
+    pub(crate) fn new(campaign: &Campaign<'a, 'b>) -> Result<Launched<'a, 'b>, CoreError> {
+        let prepared = Prepared::new(campaign)?;
+        let jobs = prepared.package(campaign.entries);
+        let ctx = JobCtx::new(campaign, &prepared);
+        let (events_tx, events) = mpsc::channel();
+        let (results_tx, results) = mpsc::channel();
+        ctx.emit_cache_warnings(&events_tx);
+        let launch = Self {
+            entries: campaign.entries,
+            stands: campaign.stands,
+            ctx,
+            events,
+            results,
+            cells: prepared.job_cells(),
+        };
+        Ok((launch, jobs, events_tx, results_tx))
+    }
+
+    /// The handle whose join folds every job's report into the outcome.
+    /// `claimed_workers` is released from the `workers` gauge once every
+    /// job reported; `lost` holds the labels of jobs an executor gave up
+    /// on (remote retries exhausted), raised as
+    /// [`CoreError::JobsLost`].
+    pub(crate) fn into_handle(
+        self,
+        claimed_workers: i64,
+        lost: Option<Arc<Mutex<Vec<String>>>>,
+    ) -> CampaignHandle<'a> {
+        let Launch {
+            entries,
+            stands,
+            ctx,
+            events,
+            results,
+            cells,
+        } = self;
+        let run_token = ctx.cancel.run_token();
+        CampaignHandle::new(
+            EventStream::new(events),
+            run_token,
+            Box::new(move || {
+                let (mut slots, acknowledged, strands) = collect(results, cells.len());
+                ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
+                rescue_strands(strands, entries, &ctx, &mut slots);
+                if let Some(lost) = lost {
+                    let lost = std::mem::take(&mut *lost.lock().expect("lost-jobs lock"));
+                    if !lost.is_empty() {
+                        return Err(CoreError::JobsLost {
+                            lost: lost.len(),
+                            jobs: lost,
+                        });
+                    }
+                }
+                let jobs = cells.into_iter().zip(slots);
+                let (result, cancelled) = merge_job_outcomes(entries, stands, jobs);
+                check_lost(cancelled, acknowledged)?;
+                if let Some(runtime) = &ctx.cache {
+                    runtime.check_verified()?;
+                }
+                Ok(CampaignOutcome { result, cancelled })
+            }),
+        )
     }
 }
 
 /// Runs every job in plan order on the calling thread — the reference
-/// executor for determinism checks, byte-identical to the historical
-/// serial `run_campaign`.
+/// executor for determinism checks.
 ///
 /// `launch` executes the whole campaign before returning: the handle's
 /// event stream replays the buffered events and `join` is instant.
@@ -557,89 +1024,14 @@ pub struct SerialExecutor;
 
 impl CampaignExecutor for SerialExecutor {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        let prepared = Prepared::new(campaign)?;
-        let ctx = JobCtx::new(campaign, &prepared);
+        let (launch, jobs, events, results) = Launch::new(campaign)?;
         // Gauges are additive so concurrent campaigns sharing one
-        // recorder (the serving case) sum instead of stomping each other;
-        // the claim is released once this launch's jobs have run.
-        ctx.obs.gauge_add(Gauge::Workers, 1);
-        let run_token = ctx.cancel.run_token();
-        match campaign.granularity {
-            Granularity::Cell => {
-                let (events_tx, events_rx) = mpsc::channel();
-                let (results_tx, results_rx) = mpsc::channel();
-                ctx.emit_cache_warnings(&events_tx);
-                let cells = prepared.package_cells(campaign.entries);
-                let n_cells = cells.len();
-                for cell in cells {
-                    run_packaged_cell(cell, &ctx, &events_tx, &results_tx);
-                }
-                drop(events_tx);
-                drop(results_tx);
-                ctx.obs.gauge_add(Gauge::Workers, -1);
-                let entries = campaign.entries;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-                        rescue_cell_strands(strands, entries, &ctx, &mut slots);
-                        let outcome = fold_cell_slots(slots, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(outcome)
-                    }),
-                ))
-            }
-            Granularity::Test => {
-                let (events_tx, events_rx) = mpsc::channel();
-                let (results_tx, results_rx) = mpsc::channel();
-                ctx.emit_cache_warnings(&events_tx);
-                let jobs = prepared.package_jobs(campaign.entries);
-                let n_jobs = jobs.len();
-                for job in jobs {
-                    run_packaged_test(job, &ctx, &events_tx, &results_tx);
-                }
-                drop(events_tx);
-                drop(results_tx);
-                ctx.obs.gauge_add(Gauge::Workers, -1);
-                let entries = campaign.entries;
-                let stands = campaign.stands;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-                        rescue_test_strands(strands, entries, &ctx, &mut slots);
-                        let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-                        check_lost(cancelled, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(CampaignOutcome { result, cancelled })
-                    }),
-                ))
-            }
+        // recorder (the serving case) sum instead of stomping each other.
+        launch.ctx.obs.gauge_add(Gauge::Workers, 1);
+        for job in jobs {
+            run_range(job, &launch.ctx, &events, &results);
         }
-    }
-}
-
-/// Short status line and failed flag of one test outcome — one
-/// implementation for every executor, so events agree byte-for-byte. The
-/// planning-failure reason is rendered the same way cell status lines
-/// render it (`NOT RUNNABLE (<first line, truncated>)`), so live per-test
-/// progress says *why* a test could not run.
-pub(crate) fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
-    let status = match outcome {
-        Ok(result) => result.verdict().to_string(),
-        Err(reason) => comptest_core::campaign::not_runnable_status(reason),
-    };
-    let failed = !matches!(outcome, Ok(r) if r.passed());
-    (status, failed)
-}
-
-/// Raises the verify-mode mismatch error, if a cache runtime is active.
-pub(crate) fn check_verified(cache: &Option<Arc<CacheRuntime>>) -> Result<(), CoreError> {
-    match cache {
-        Some(runtime) => runtime.check_verified(),
-        None => Ok(()),
+        Ok(launch.into_handle(1, None))
     }
 }
 
@@ -667,8 +1059,8 @@ impl PooledExecutor {
     /// a persistent executor serving many campaigns is sized by its owner.
     /// When building a fresh executor for one campaign, size it to
     /// [`Campaign::job_count`] (`workers.min(campaign.job_count())`, as
-    /// the CLI and the deprecated shims do) so excess threads are not
-    /// constructed only to park on the queue.
+    /// the CLI does) so excess threads are not constructed only to park on
+    /// the queue.
     ///
     /// # Panics
     ///
@@ -708,498 +1100,29 @@ impl CampaignExecutor for PooledExecutor {
 
 impl CampaignExecutor for WorkerPool {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        match campaign.granularity {
-            Granularity::Cell => launch_pooled_cells(self, campaign),
-            Granularity::Test => launch_pooled_tests(self, campaign),
+        let (launch, jobs, events, results) = Launch::new(campaign)?;
+        // Additive claim (not `gauge_set`): concurrent campaigns sharing one
+        // recorder on one pool sum their claims and the gauge returns to
+        // zero once every one of them joins.
+        let claimed_workers = self.workers() as i64;
+        launch.ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
+        for job in jobs {
+            let ctx = launch.ctx.clone();
+            let events = events.clone();
+            let results = results.clone();
+            ctx.obs.gauge_add(Gauge::QueueDepth, 1);
+            self.submit_task(
+                campaign.lane,
+                Box::new(move || {
+                    ctx.obs.gauge_add(Gauge::QueueDepth, -1);
+                    run_range(job, &ctx, &events, &results);
+                }),
+            );
         }
+        // The launch-side senders drop on return, so both streams end
+        // with the last job.
+        Ok(launch.into_handle(claimed_workers, None))
     }
-}
-
-/// What a packaged job reports back to the joining collector.
-pub(crate) enum JobMsg<T> {
-    /// Outcome of slot `usize`.
-    Done(usize, T),
-    /// The job observed cancellation and never ran (or, on the async
-    /// executor, was abandoned at a step boundary).
-    Cancelled,
-    /// The job missed the cache at admission although packaging predicted
-    /// a hit (and therefore skipped its device build); the join rescues it
-    /// with a freshly built device.
-    Stranded(Strand),
-}
-
-/// A job handed back to the join because its predicted cache hit did not
-/// materialize at admission. Packaging skips device construction for
-/// predicted hits, and worker tasks are `'static` closures that cannot
-/// borrow the campaign's [`DeviceFactory`](comptest_core::campaign::DeviceFactory) —
-/// so the job travels back to the join thread, which *can* borrow the
-/// entries and rebuild the device there. Slower than the fast path, but
-/// the previous behaviour was a panic.
-pub(crate) enum Strand {
-    /// A test-granular job (only ever sent on test-outcome channels).
-    Test(Box<PackagedJob>),
-    /// A cell-granular job (only ever sent on cell-outcome channels).
-    Cell(Box<PackagedCell>),
-}
-
-/// Drains exactly `jobs` collector messages into merge slots, counting
-/// acknowledged cancellations and gathering stranded jobs for the join's
-/// rescue pass (every job sends exactly one message, stranded or not).
-pub(crate) fn collect<T>(
-    results: Receiver<JobMsg<T>>,
-    jobs: usize,
-) -> (Vec<Option<T>>, usize, Vec<Strand>) {
-    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    let mut acknowledged = 0usize;
-    let mut strands = Vec::new();
-    for msg in results.iter().take(jobs) {
-        match msg {
-            JobMsg::Done(slot, outcome) => slots[slot] = Some(outcome),
-            JobMsg::Cancelled => acknowledged += 1,
-            JobMsg::Stranded(strand) => strands.push(strand),
-        }
-    }
-    (slots, acknowledged, strands)
-}
-
-/// Executes stranded test jobs on the join thread: rebuild the device via
-/// the campaign's entry factory, run through the shared plan slot, feed
-/// the cache, fill the merge slot. The event stream has already closed by
-/// join time, so rescue emits no per-test events (the merged result is
-/// still byte-identical to a worker execution).
-pub(crate) fn rescue_test_strands(
-    strands: Vec<Strand>,
-    entries: &[CampaignEntry<'_>],
-    ctx: &JobCtx,
-    slots: &mut [Option<TestJobOutcome>],
-) {
-    for strand in strands {
-        let Strand::Test(mut job) = strand else {
-            // Channels are typed per granularity, so a cell strand cannot
-            // arrive here; leave the slot empty (surfaced as JobsLost)
-            // rather than panic.
-            continue;
-        };
-        let mut device = match job.device.take() {
-            Some(device) => device,
-            None => entries[job.entry].device_factory.build(),
-        };
-        let started = Instant::now();
-        let outcome = plan_and_execute(&job.plan, &job.script, &job.stand, &mut device, ctx);
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_test(job.cell, job.test, &outcome);
-        }
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.inc(Counter::TestsExecuted);
-        ctx.obs
-            .test_timing(started.elapsed(), outcome_sim_end(&outcome));
-        slots[job.job] = Some(outcome);
-    }
-}
-
-/// Cell-granular counterpart of [`rescue_test_strands`]: runs the cell's
-/// tests in order against rebuilt devices, with the same first-planning-
-/// error truncation the worker path applies.
-pub(crate) fn rescue_cell_strands(
-    strands: Vec<Strand>,
-    entries: &[CampaignEntry<'_>],
-    ctx: &JobCtx,
-    slots: &mut [Option<CampaignCell>],
-) {
-    for strand in strands {
-        let Strand::Cell(boxed) = strand else {
-            continue;
-        };
-        let PackagedCell {
-            cell: slot,
-            entry,
-            suite,
-            stand_name,
-            stand,
-            tests,
-        } = *boxed;
-        let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(tests.len());
-        for mut test in tests {
-            let mut device = match test.device.take() {
-                Some(device) => device,
-                None => entries[entry].device_factory.build(),
-            };
-            let started = Instant::now();
-            let outcome = plan_and_execute(&test.plan, &test.script, &stand, &mut device, ctx);
-            if ctx.obs.is_enabled() {
-                ctx.obs.inc(Counter::TestsExecuted);
-                ctx.obs
-                    .test_timing(started.elapsed(), outcome_sim_end(&outcome));
-            }
-            let stop_cell = outcome.is_err();
-            outcomes.push(outcome);
-            if stop_cell {
-                break;
-            }
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_cell(slot, &suite, &stand_name, &outcomes);
-        }
-        ctx.obs.inc(Counter::JobsExecuted);
-        slots[slot] = Some(fold_cell(suite, stand_name, outcomes));
-    }
-}
-
-/// Every job either reports an outcome or acknowledges cancellation; a
-/// slot missing *without* an acknowledgement means a worker died mid-job
-/// (a panic caught by the pool). Surface it instead of returning a
-/// silently truncated — possibly all-green — result.
-pub(crate) fn check_lost(cancelled: usize, acknowledged: usize) -> Result<(), CoreError> {
-    let lost = cancelled.saturating_sub(acknowledged);
-    if lost > 0 {
-        return Err(CoreError::JobsLost {
-            lost,
-            jobs: Vec::new(),
-        });
-    }
-    Ok(())
-}
-
-/// One packaged test job: everything a worker (pool thread or async shard)
-/// needs, owned.
-pub(crate) struct PackagedJob {
-    pub(crate) job: usize,
-    pub(crate) cell: usize,
-    pub(crate) test: usize,
-    /// Index into the campaign's entries — lets the join rebuild a device
-    /// through the entry's `DeviceFactory` when a predicted hit strands.
-    pub(crate) entry: usize,
-    pub(crate) suite: String,
-    pub(crate) stand_name: String,
-    pub(crate) name: String,
-    pub(crate) script: Arc<TestScript>,
-    pub(crate) stand: Arc<TestStand>,
-    pub(crate) plan: Arc<PlanSlot>,
-    /// The fresh DUT — `None` when packaging predicted a cache hit (the
-    /// job resolves at admission and never needs one).
-    pub(crate) device: Option<Device>,
-}
-
-impl PackagedJob {
-    /// Takes the packaged device. `None` means packaging predicted a cache
-    /// hit (so skipped the device build) but admission missed anyway —
-    /// possible whenever the store is shared (another process evicted or
-    /// rewrote the record between packaging and execution). Callers strand
-    /// the job back to the join instead of panicking.
-    pub(crate) fn take_device(&mut self) -> Option<Device> {
-        self.device.take()
-    }
-
-    /// Resolves the shared plan slot for this job's (script, stand) pair.
-    pub(crate) fn resolve_plan(&self, obs: &Recorder) -> Result<Arc<ExecutionPlan>, String> {
-        self.plan.resolve(&self.script, &self.stand, obs)
-    }
-}
-
-/// Executes one packaged test job (worker side): consult the cache at
-/// admission, otherwise resolve the shared plan, run against the fresh
-/// device, stream per-test events.
-pub(crate) fn run_packaged_test(
-    mut job: PackagedJob,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<TestJobOutcome>>,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_test(&job, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss, no device to run with: hand the job back
-    // to the join (which can borrow the campaign's device factories) before
-    // any started event leaks out.
-    let Some(mut device) = job.take_device() else {
-        let _ = results.send(JobMsg::Stranded(Strand::Test(Box::new(job))));
-        return;
-    };
-    emit(
-        events,
-        EngineEvent::TestStarted {
-            cell: job.cell,
-            test: job.test,
-            suite: job.suite.clone(),
-            stand: job.stand_name.clone(),
-            name: job.name.clone(),
-        },
-    );
-    let span = ctx
-        .obs
-        .span_begin(SpanCat::Test, || format!("{}::{}", job.suite, job.name));
-    ctx.obs.gauge_add(Gauge::InflightJobs, 1);
-    let started = Instant::now();
-    let outcome = plan_and_execute(&job.plan, &job.script, &job.stand, &mut device, ctx);
-    let wall = started.elapsed();
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_test(job.cell, job.test, &outcome);
-    }
-    let (status, failed) = outcome_status(&outcome);
-    ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.inc(Counter::TestsExecuted);
-    ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
-    ctx.obs.span_end(span, || Some(status.clone()));
-    emit(
-        events,
-        EngineEvent::TestFinished {
-            cell: job.cell,
-            test: job.test,
-            suite: job.suite,
-            stand: job.stand_name,
-            name: job.name,
-            status,
-            failed,
-            duration: wall,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(job.job, outcome));
-}
-
-/// Test-granular pooled launch: package every (entry, stand, test) triple,
-/// submit, and join by merging through [`merge_test_outcomes`].
-fn launch_pooled_tests<'a>(
-    pool: &WorkerPool,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let jobs = prepared.package_jobs(campaign.entries);
-    let n_jobs = jobs.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    // Additive claim (not `gauge_set`): concurrent campaigns sharing one
-    // recorder on one pool sum their claims and the gauge returns to zero
-    // once every one of them joins.
-    let claimed_workers = pool.workers() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    for job in jobs {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        ctx.obs.gauge_add(Gauge::QueueDepth, 1);
-        pool.submit_task(
-            campaign.lane,
-            Box::new(move || {
-                ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-                run_packaged_test(job, &ctx, &events, &results);
-            }),
-        );
-    }
-    // Drop the launch-side senders so both streams end with the last job.
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let stands = campaign.stands;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_test_strands(strands, entries, &ctx, &mut slots);
-            let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-            check_lost(cancelled, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(CampaignOutcome { result, cancelled })
-        }),
-    ))
-}
-
-/// One test of a packaged cell: script, shared plan slot and a fresh
-/// device (`None` when the whole cell was predicted to hit the cache).
-pub(crate) struct PackagedTest {
-    pub(crate) script: Arc<TestScript>,
-    pub(crate) plan: Arc<PlanSlot>,
-    pub(crate) device: Option<Device>,
-}
-
-impl PackagedTest {
-    /// Takes the packaged device; `None` when the cell was packaged for a
-    /// predicted hit that did not materialize at admission (the caller
-    /// strands the whole cell instead of panicking).
-    pub(crate) fn take_device(&mut self) -> Option<Device> {
-        self.device.take()
-    }
-}
-
-/// One packaged cell job: the whole suite×stand cell, owned.
-pub(crate) struct PackagedCell {
-    pub(crate) cell: usize,
-    /// Index into the campaign's entries — lets the join rebuild devices
-    /// through the entry's `DeviceFactory` when a predicted hit strands.
-    pub(crate) entry: usize,
-    pub(crate) suite: String,
-    pub(crate) stand_name: String,
-    pub(crate) stand: Arc<TestStand>,
-    pub(crate) tests: Vec<PackagedTest>,
-}
-
-/// Executes one packaged cell (worker side): consult the cache at
-/// admission, otherwise run the suite's tests in order — each against its
-/// own fresh device, stopping at the first planning error — and report the
-/// determined per-test outcomes to the cache before folding them into the
-/// historical cell outcome byte for byte.
-pub(crate) fn run_packaged_cell(
-    cell: PackagedCell,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<CampaignCell>>,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_cell(&cell, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss: the cell was packaged without devices
-    // (packaging decides per whole cell, so it is all-or-none). Strand it
-    // back to the join before any started event leaks out.
-    if cell.tests.iter().any(|t| t.device.is_none()) {
-        let _ = results.send(JobMsg::Stranded(Strand::Cell(Box::new(cell))));
-        return;
-    }
-    emit(
-        events,
-        EngineEvent::JobStarted {
-            cell: cell.cell,
-            suite: cell.suite.clone(),
-            stand: cell.stand_name.clone(),
-        },
-    );
-    let cell_span = ctx.obs.span_begin(SpanCat::Cell, || {
-        format!("{} on {}", cell.suite, cell.stand_name)
-    });
-    ctx.obs.gauge_add(Gauge::InflightJobs, 1);
-    let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(cell.tests.len());
-    for mut test in cell.tests {
-        let Some(mut device) = test.take_device() else {
-            // Unreachable after the pre-loop check; degrade to a planning
-            // failure ending the cell rather than panic the worker.
-            outcomes.push(Err("internal: packaged test lost its device".into()));
-            break;
-        };
-        let PackagedTest { script, plan, .. } = test;
-        let test_span = ctx
-            .obs
-            .span_begin(SpanCat::Test, || format!("{}::{}", cell.suite, script.name));
-        let started = Instant::now();
-        let outcome = plan_and_execute(&plan, &script, &cell.stand, &mut device, ctx);
-        if ctx.obs.is_enabled() {
-            ctx.obs.inc(Counter::TestsExecuted);
-            ctx.obs
-                .test_timing(started.elapsed(), outcome_sim_end(&outcome));
-            ctx.obs
-                .span_end(test_span, || Some(outcome_status(&outcome).0));
-        }
-        let stop_cell = outcome.is_err();
-        outcomes.push(outcome);
-        if stop_cell {
-            break;
-        }
-    }
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_cell(cell.cell, &cell.suite, &cell.stand_name, &outcomes);
-    }
-    let campaign_cell = fold_cell(cell.suite, cell.stand_name, outcomes);
-    let failed = !campaign_cell.passed();
-    ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.span_end(cell_span, || Some(campaign_cell.status()));
-    emit(
-        events,
-        EngineEvent::JobFinished {
-            cell: cell.cell,
-            suite: campaign_cell.suite.clone(),
-            stand: campaign_cell.stand.clone(),
-            status: campaign_cell.status(),
-            failed,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(cell.cell, campaign_cell));
-}
-
-/// Cell-granular pooled launch: one packaged job per suite×stand cell.
-fn launch_pooled_cells<'a>(
-    pool: &WorkerPool,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let cells = prepared.package_cells(campaign.entries);
-    let n_cells = cells.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    // Additive claim, mirroring `launch_pooled_tests` (see the comment
-    // there).
-    let claimed_workers = pool.workers() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    for cell in cells {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        ctx.obs.gauge_add(Gauge::QueueDepth, 1);
-        pool.submit_task(
-            campaign.lane,
-            Box::new(move || {
-                ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-                run_packaged_cell(cell, &ctx, &events, &results);
-            }),
-        );
-    }
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_cell_strands(strands, entries, &ctx, &mut slots);
-            let outcome = fold_cell_slots(slots, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(outcome)
-        }),
-    ))
-}
-
-/// Folds cell-granular merge slots into the deterministic outcome (missing
-/// slots are cancelled cells), verifying every gap was an acknowledged
-/// cancellation. Shared by the serial, pooled and async cell-granular
-/// joins.
-pub(crate) fn fold_cell_slots(
-    slots: Vec<Option<CampaignCell>>,
-    acknowledged: usize,
-) -> Result<CampaignOutcome, CoreError> {
-    let mut result = CampaignResult::default();
-    let mut cancelled = 0usize;
-    for slot in slots {
-        match slot {
-            Some(cell) => result.cells.push(cell),
-            None => cancelled += 1,
-        }
-    }
-    check_lost(cancelled, acknowledged)?;
-    Ok(CampaignOutcome { result, cancelled })
 }
 
 #[cfg(test)]
@@ -1252,119 +1175,89 @@ step, dt,  DS_FL, NIGHT, INT_ILL
             .collect()
     }
 
+    /// A stand that cannot plan the lamp suite's first test (no voltmeter
+    /// for `INT_ILL`), so a whole-cell range ends in a planning error.
+    const BARE: &str = "\
+[stand]
+name = bare
+ubatt = 12.0
+
+[resources]
+id,   method, attribut, min, max, unit
+Dec1, put_r,  r,        0,   1E6, Ohm
+
+[matrix]
+point, resource, pin
+P1,    Dec1,     DS_FL
+";
+
     /// Regression for the panic at `take_device` (`"cache-miss job packaged
     /// without a device"`): package against a warm store (every job
     /// predicts a hit, so no devices are built), then execute against an
     /// empty store — the record was evicted between packaging and
     /// admission, legal whenever the store is shared between processes.
-    /// The job must strand back to the join, get a rebuilt device from the
-    /// entry's factory, and merge byte-identical to a cold run.
-    #[test]
-    fn evicted_prediction_strands_and_rescues_test_jobs() {
+    /// Every job must strand back to the join, get rebuilt devices from the
+    /// entry's factory, and merge byte-identical to a cold run. The stands
+    /// cover a fully runnable cell and one whose range ends in a planning
+    /// error.
+    fn check_evicted_prediction_strands_and_rescues(granularity: Granularity) {
         let wb = Workbook::parse_str("a.cts", WB).unwrap();
         let suites = vec![wb.suite];
         let entries = entries(&suites);
         let stand = stand();
-        let stands: Vec<&TestStand> = vec![&stand];
+        let bare = TestStand::parse_str("bare.stand", BARE).unwrap();
+        let stands: Vec<&TestStand> = vec![&stand, &bare];
+        let campaign = || Campaign::new(&entries, &stands).granularity(granularity);
 
         // Reference: a cold serial run without any cache.
-        let cold = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .run(&SerialExecutor)
-            .unwrap();
+        let cold = campaign().run(&SerialExecutor).unwrap();
+        assert!(cold.cells[1].outcome.is_err(), "bare stand must not plan");
 
         // Warm a store, then package against it.
         let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-        Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
+        campaign()
             .cache(Arc::clone(&warm_store))
             .run(&SerialExecutor)
             .unwrap();
-        let warm = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(Arc::clone(&warm_store));
-        let prepared = Prepared::new(&warm).unwrap();
-        let jobs = prepared.package_jobs(warm.entries);
-        assert!(!jobs.is_empty());
+        let warm = campaign().cache(Arc::clone(&warm_store));
+        let jobs = Prepared::new(&warm).unwrap().package(warm.entries);
+        assert_eq!(jobs.len(), warm.job_count());
         assert!(
-            jobs.iter().all(|j| j.device.is_none()),
+            jobs.iter()
+                .all(|j| j.tests.iter().all(|t| t.device.is_none())),
             "warm packaging must skip device builds"
         );
 
-        // Execute the predicted-hit jobs with the record evicted.
-        let evicted = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
+        // Execute the predicted-hit jobs with the records evicted.
+        let evicted = campaign().cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
         let prepared_evicted = Prepared::new(&evicted).unwrap();
         let ctx = JobCtx::new(&evicted, &prepared_evicted);
         let (events_tx, _events_rx) = mpsc::channel();
         let (results_tx, results_rx) = mpsc::channel();
         let n = jobs.len();
         for job in jobs {
-            run_packaged_test(job, &ctx, &events_tx, &results_tx);
+            run_range(job, &ctx, &events_tx, &results_tx);
         }
         drop(results_tx);
         let (mut slots, acknowledged, strands) = collect(results_rx, n);
         assert_eq!(strands.len(), n, "every job must strand, not panic");
         assert_eq!(acknowledged, 0);
-        rescue_test_strands(strands, evicted.entries, &ctx, &mut slots);
-        let (result, cancelled) = merge_test_outcomes(evicted.entries, evicted.stands, slots);
+        rescue_strands(strands, evicted.entries, &ctx, &mut slots);
+        let jobs = prepared_evicted.job_cells().into_iter().zip(slots);
+        let (result, cancelled) = merge_job_outcomes(evicted.entries, evicted.stands, jobs);
         assert_eq!(cancelled, 0);
         assert_eq!(result, cold, "rescued outcomes must match a cold run");
     }
 
-    /// Cell-granular twin of the eviction regression: the whole packaged
-    /// cell (no devices) strands instead of panicking in the per-test
-    /// `take_device`, and the rescue reproduces the cold result.
+    #[test]
+    fn evicted_prediction_strands_and_rescues_test_jobs() {
+        check_evicted_prediction_strands_and_rescues(Granularity::Test);
+    }
+
+    /// Cell-granular twin: whole-cell ranges (no devices) strand instead of
+    /// panicking, and the rescue reproduces the cold result.
     #[test]
     fn evicted_prediction_strands_and_rescues_cells() {
-        let wb = Workbook::parse_str("a.cts", WB).unwrap();
-        let suites = vec![wb.suite];
-        let entries = entries(&suites);
-        let stand = stand();
-        let stands: Vec<&TestStand> = vec![&stand];
-
-        let cold = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .run(&SerialExecutor)
-            .unwrap();
-
-        let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-        Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::clone(&warm_store))
-            .run(&SerialExecutor)
-            .unwrap();
-        let warm = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::clone(&warm_store));
-        let prepared = Prepared::new(&warm).unwrap();
-        let cells = prepared.package_cells(warm.entries);
-        assert!(!cells.is_empty());
-        assert!(
-            cells
-                .iter()
-                .all(|c| c.tests.iter().all(|t| t.device.is_none())),
-            "warm packaging must skip device builds"
-        );
-
-        let evicted = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
-        let prepared_evicted = Prepared::new(&evicted).unwrap();
-        let ctx = JobCtx::new(&evicted, &prepared_evicted);
-        let (events_tx, _events_rx) = mpsc::channel();
-        let (results_tx, results_rx) = mpsc::channel();
-        let n = cells.len();
-        for cell in cells {
-            run_packaged_cell(cell, &ctx, &events_tx, &results_tx);
-        }
-        drop(results_tx);
-        let (mut slots, acknowledged, strands) = collect(results_rx, n);
-        assert_eq!(strands.len(), n, "every cell must strand, not panic");
-        rescue_cell_strands(strands, evicted.entries, &ctx, &mut slots);
-        let outcome = fold_cell_slots(slots, acknowledged).unwrap();
-        assert_eq!(outcome.cancelled, 0);
-        assert_eq!(outcome.result, cold, "rescued cells must match a cold run");
+        check_evicted_prediction_strands_and_rescues(Granularity::Cell);
     }
 }

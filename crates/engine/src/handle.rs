@@ -77,9 +77,7 @@ impl RunCancel {
     }
 }
 
-/// A blocking, typed iterator over a campaign's [`EngineEvent`]s — the
-/// builder API's replacement for the bare `mpsc::Receiver` the deprecated
-/// entry points took.
+/// A blocking, typed iterator over a campaign's [`EngineEvent`]s.
 ///
 /// The stream ends when the last worker finishes (or acknowledges
 /// cancellation); it is `Send`, so it can be moved to a printer thread

@@ -9,7 +9,8 @@
 //! through three pieces:
 //!
 //! * a [`Campaign`] builder describing one run — entries × stands,
-//!   [`ExecOptions`], scheduling [`Granularity`], `stop_on_first_fail` and
+//!   [`ExecOptions`](comptest_core::exec::ExecOptions), scheduling
+//!   [`Granularity`], `stop_on_first_fail` and
 //!   an optional external [`CancelToken`] — which owns validation (empty
 //!   matrices and duplicate stand names are rejected before anything
 //!   runs);
@@ -22,15 +23,20 @@
 //!   simulated stands interleave per OS thread on a sim-time wheel,
 //!   optionally sharded across several) and [`RemoteExecutor`] (packaged
 //!   jobs shipped to spawned `comptest worker` *processes* over a
-//!   length-prefixed stdio frame protocol — see [`remote`]). The trait
-//!   contract all four
-//!   keep: outcomes merge back in the deterministic plan order (so every
-//!   executor, at every worker count / concurrency limit, is
-//!   byte-identical to serial), launch surfaces the first codegen error
-//!   before any job runs, and cancellation is cooperative — between jobs
-//!   on the blocking executors, between *steps* on the async one (a
-//!   cancelled campaign abandons in-flight runs at the next step boundary
-//!   and counts them into `cancelled`);
+//!   length-prefixed stdio frame protocol — see [`remote`]). All four
+//!   schedule **one job shape**: a contiguous range of one cell's tests,
+//!   run in order on one worker and stopped at the first planning error —
+//!   [`Granularity::Cell`] packages whole-cell ranges,
+//!   [`Granularity::Test`] ranges of length 1, and the granularity
+//!   otherwise only picks the job's event shape (per cell:
+//!   `JobStarted`/`JobFinished`; per test: `TestStarted`/`TestFinished`).
+//!   The trait contract all four keep: outcomes merge back in the
+//!   deterministic plan order (so every executor, at every worker count /
+//!   concurrency limit, is byte-identical to serial), launch surfaces the
+//!   first codegen error before any job runs, and cancellation is
+//!   cooperative — between jobs on the blocking executors, between
+//!   *steps* on the async one (a cancelled campaign abandons in-flight
+//!   jobs at the next step boundary and counts them into `cancelled`);
 //! * a [`CampaignHandle`] returned by [`Campaign::launch`]: a typed
 //!   [`EventStream`] of [`EngineEvent`]s, cooperative cancellation via
 //!   [`CancelToken`], and a [`CampaignHandle::join`] folding every
@@ -75,10 +81,6 @@
 //! hashing — footprint keying is never less safe than full keying. The
 //! precise rules, the salt semantics and the record-format details live
 //! in [the cache module docs](cache#what-invalidates-the-cache).
-//!
-//! The PR-1/PR-2 free functions ([`run_campaign_parallel`],
-//! [`run_campaign_with_pool`], and `comptest_core`'s serial
-//! `run_campaign`) survive as deprecated shims over this API.
 //!
 //! # Observability
 //!
@@ -133,24 +135,26 @@
 //!
 //! Invariants a joined campaign satisfies: `jobs_executed + jobs_cached
 //! == jobs_planned` (without cancellation) and `spans_opened ==
-//! spans_closed` (always). One asymmetry to know: at cell granularity the
-//! async executor records cell and step spans but no per-test spans or
-//! per-test wall timings (tests interleave step-by-step there, so a
-//! per-test wall clock would measure scheduling, not work);
-//! `tests_executed` still counts every test.
+//! spans_closed` (always). Every executor records one test span and one
+//! `test_wall_micros`/`test_sim_micros` observation per executed test at
+//! both granularities, so a cold run's `test_sim_micros` count equals
+//! `tests_executed` and its `test_sim_micros_total` equals the serial
+//! run's. Wall times are per test on the worker that ran it (the
+//! worker-side time for [`RemoteExecutor`]; on the async executor they
+//! include the interleaving with other runs).
 //!
 //! # Distributed execution
 //!
 //! [`RemoteExecutor`] (CLI `--executor remote --remote-workers N`) runs
 //! jobs in spawned **worker processes** (`comptest worker`) instead of
 //! threads. The parent keeps everything stateful — planning, cache
-//! admission (only misses ship), event ordering, result merging — and
-//! sends each cache-missing job to a worker as a few length-prefixed
-//! binary frames: stand and script text interned once per worker, then a
-//! run request carrying the device *recipe*
+//! admission (only misses ship), events, result merging — and sends each
+//! cache-missing job to a worker as a few length-prefixed binary frames:
+//! stand and script text interned once per worker, then one run-range
+//! request carrying the device *recipe*
 //! ([`DeviceSpec`](comptest_dut::DeviceSpec)). Workers execute through
-//! the same planning/execution path as every local executor and stream
-//! progress events plus a result record (the cache's binary codec) back,
+//! the same planning/execution path as every local executor and send back
+//! a result record (the cache's binary codec) plus each test's wall time,
 //! so merged results stay byte-identical to serial at both granularities
 //! and under every cache mode.
 //!
@@ -268,6 +272,7 @@ mod handle;
 pub mod obs;
 mod pool;
 pub mod remote;
+mod wire;
 
 pub use async_exec::AsyncExecutor;
 pub use cache::{
@@ -282,176 +287,14 @@ pub use obs::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot, 
 pub use pool::WorkerPool;
 pub use remote::{worker_main, RemoteExecutor, HOLD_MS_ENV};
 
-pub use comptest_core::campaign::{plan_cells, plan_test_jobs, CellJob, TestJob};
 pub use comptest_core::hash::{CellKey, Footprint, FootprintKey};
-
-use std::sync::mpsc::Sender;
-
-use comptest_core::campaign::{CampaignEntry, CampaignResult};
-use comptest_core::error::CoreError;
-use comptest_core::exec::ExecOptions;
-use comptest_stand::TestStand;
-
-/// Engine configuration for the **deprecated** free-function entry points
-/// (`ExecOptions`-style: plain data, `Default` + builders). The builder
-/// API spreads these across [`Campaign`] (granularity, stop-on-first-fail)
-/// and the executor (worker count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Worker threads draining the job queue. `1` forces strictly serial,
-    /// in-order execution — the reference mode for determinism checks.
-    /// `0` is treated as `1` everywhere (see [`EngineOptions::effective_workers`]).
-    pub workers: usize,
-    /// Cancel remaining jobs as soon as one fails (or is not runnable).
-    /// See [`Campaign::stop_on_first_fail`] for the semantics.
-    pub stop_on_first_fail: bool,
-    /// Scheduling granularity (default: [`Granularity::Cell`]).
-    pub granularity: Granularity,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            stop_on_first_fail: false,
-            granularity: Granularity::default(),
-        }
-    }
-}
-
-impl EngineOptions {
-    /// Options with an explicit worker count (`0` is clamped to `1`).
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Enables early cancellation (builder style).
-    pub fn stop_on_first_fail(mut self, stop: bool) -> Self {
-        self.stop_on_first_fail = stop;
-        self
-    }
-
-    /// Sets the scheduling granularity (builder style).
-    pub fn granularity(mut self, granularity: Granularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// The worker count the engine will actually use: `workers`, but never
-    /// `0` — a hand-built `EngineOptions { workers: 0, .. }` must not
-    /// deadlock a pool with no threads.
-    pub fn effective_workers(&self) -> usize {
-        self.workers.max(1)
-    }
-}
-
-/// Shim body shared by the deprecated entry points: launch on the new API,
-/// forward events to the caller's bare channel, synthesize the historical
-/// terminal [`EngineEvent::CampaignDone`].
-fn shim_run(
-    campaign: &Campaign<'_, '_>,
-    executor: &dyn CampaignExecutor,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    let mut handle = campaign.launch(executor)?;
-    let forwarder = events.map(|tx| {
-        let stream = handle.events();
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            for event in stream {
-                if tx.send(event).is_err() {
-                    break;
-                }
-            }
-        })
-    });
-    let outcome = handle.join();
-    if let Some(thread) = forwarder {
-        let _ = thread.join();
-    }
-    let outcome = outcome?;
-    if let Some(tx) = events {
-        let (passed, failed, errored, not_runnable) = outcome.result.totals();
-        let _ = tx.send(EngineEvent::CampaignDone {
-            passed,
-            failed,
-            errored,
-            not_runnable,
-            cancelled: outcome.cancelled,
-        });
-    }
-    Ok(outcome.result)
-}
-
-/// Runs a campaign at [`Granularity::Test`] on a caller-provided persistent
-/// [`WorkerPool`].
-///
-/// Deprecated shim over the builder API — and stricter than the PR-2
-/// original: the campaign is validated first, so empty matrices and
-/// duplicate stand names now error instead of running vacuously.
-///
-/// # Errors
-///
-/// Everything [`Campaign::launch`] and [`CampaignHandle::join`] raise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Campaign::new(entries, stands).granularity(Granularity::Test).launch(&pool) — \
-            WorkerPool implements CampaignExecutor"
-)]
-pub fn run_campaign_with_pool(
-    pool: &WorkerPool,
-    entries: &[CampaignEntry<'_>],
-    stands: &[&TestStand],
-    options: &EngineOptions,
-    exec: &ExecOptions,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    // As in PR 2: this entry point *is* the test-granular engine, and the
-    // pool's size — not `options.workers` — decides the parallelism.
-    let campaign = Campaign::new(entries, stands)
-        .exec_options(*exec)
-        .granularity(Granularity::Test)
-        .stop_on_first_fail(options.stop_on_first_fail);
-    shim_run(&campaign, pool, events)
-}
-
-/// Runs the campaign matrix on a fresh worker pool at the granularity
-/// selected in [`EngineOptions::granularity`].
-///
-/// Deprecated shim over the builder API — and stricter than the PR-1
-/// original: the campaign is validated first, so empty matrices and
-/// duplicate stand names now error instead of running vacuously.
-///
-/// # Errors
-///
-/// Everything [`Campaign::launch`] and [`CampaignHandle::join`] raise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Campaign::new(entries, stands).launch(&PooledExecutor::new(workers)) instead"
-)]
-pub fn run_campaign_parallel(
-    entries: &[CampaignEntry<'_>],
-    stands: &[&TestStand],
-    options: &EngineOptions,
-    exec: &ExecOptions,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    let campaign = Campaign::new(entries, stands)
-        .exec_options(*exec)
-        .granularity(options.granularity)
-        .stop_on_first_fail(options.stop_on_first_fail);
-    // As in PR 1: never spawn more threads than there are jobs to drain.
-    let workers = options.effective_workers().min(campaign.job_count().max(1));
-    shim_run(&campaign, &PooledExecutor::new(workers), events)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comptest_core::campaign::CampaignEntry;
     use comptest_sheets::Workbook;
+    use comptest_stand::TestStand;
     use std::sync::mpsc;
 
     const WB_PASS: &str = "\
@@ -659,10 +502,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
             .filter(|e| matches!(e, EngineEvent::JobFinished { failed: false, .. }))
             .count();
         assert_eq!((starts, finishes), (1, 1));
-        // The builder API has no terminal event; join() carries the totals.
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, EngineEvent::CampaignDone { .. })));
     }
 
     #[test]
@@ -802,13 +641,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
 
     #[test]
     fn zero_workers_is_clamped_in_the_option_layers() {
-        assert_eq!(EngineOptions::with_workers(0).workers, 1);
-        // A hand-built options struct must not deadlock the engine either.
-        let options = EngineOptions {
-            workers: 0,
-            ..EngineOptions::default()
-        };
-        assert_eq!(options.effective_workers(), 1);
         assert_eq!(WorkerPool::new(0).workers(), 1);
     }
 
@@ -1050,110 +882,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
                 .any(|e| matches!(e, EngineEvent::JobStarted { .. })),
             "no per-cell events at test granularity"
         );
-    }
-
-    /// The deprecated entry points are shims over the builder API: same
-    /// results, plus the historical synthesized `CampaignDone` event.
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn run_campaign_parallel_matches_the_builder_api() {
-            let suites = suites_pass_fail();
-            let entries = entries(&suites);
-            let stand_a = stand();
-            let stand_b = stand_named("HIL-A2");
-            let stands = [&stand_a, &stand_b];
-            let reference = Campaign::new(&entries, &stands)
-                .run(&SerialExecutor)
-                .unwrap();
-            for granularity in [Granularity::Cell, Granularity::Test] {
-                for workers in [1usize, 4] {
-                    let shim = run_campaign_parallel(
-                        &entries,
-                        &stands,
-                        &EngineOptions::with_workers(workers).granularity(granularity),
-                        &ExecOptions::default(),
-                        None,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        shim, reference,
-                        "granularity {granularity}, {workers} workers"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn run_campaign_with_pool_matches_and_reuses_the_pool() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            let reference = Campaign::new(&entries, &[&stand])
-                .run(&SerialExecutor)
-                .unwrap();
-            let pool = WorkerPool::new(3);
-            for round in 0..2 {
-                let shim = run_campaign_with_pool(
-                    &pool,
-                    &entries,
-                    &[&stand],
-                    &EngineOptions::default(),
-                    &ExecOptions::default(),
-                    None,
-                )
-                .unwrap();
-                assert_eq!(shim, reference, "round {round}");
-            }
-        }
-
-        #[test]
-        fn shims_still_emit_the_terminal_campaign_done_event() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            let (tx, rx) = mpsc::channel();
-            let result = run_campaign_parallel(
-                &entries,
-                &[&stand],
-                &EngineOptions::with_workers(2),
-                &ExecOptions::default(),
-                Some(&tx),
-            )
-            .unwrap();
-            drop(tx);
-            assert!(result.all_green());
-            let events: Vec<EngineEvent> = rx.into_iter().collect();
-            match events.last() {
-                Some(EngineEvent::CampaignDone {
-                    passed,
-                    failed,
-                    cancelled,
-                    ..
-                }) => assert_eq!((*passed, *failed, *cancelled), (2, 0, 0)),
-                other => panic!("expected CampaignDone last, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn shims_validate_like_the_builder() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            // Duplicate stands were silently accepted by the PR-1 engine;
-            // the shims now inherit the builder's validation.
-            let err = run_campaign_parallel(
-                &entries,
-                &[&stand, &stand],
-                &EngineOptions::default(),
-                &ExecOptions::default(),
-                None,
-            )
-            .unwrap_err();
-            assert!(matches!(err, CoreError::InvalidCampaign(_)));
-        }
     }
 
     /// Multi-tenant behaviour: the lane-fair pool queue and the additive

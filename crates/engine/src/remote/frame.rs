@@ -1,8 +1,8 @@
 //! The worker wire protocol: length-prefixed frames over stdio.
 //!
 //! The parent and its `comptest worker` children speak a binary protocol
-//! built from the same primitives as the cache's record codec
-//! (`cache::binary`): a fixed magic + version in the handshake, LEB128
+//! built from the same primitives as the cache's record codec (the shared
+//! `wire` module): a fixed magic + version in the handshake, LEB128
 //! varints for every integer, length-validated strings and byte blobs.
 //! Each frame travels as `[u32 LE payload length][payload]`; the payload
 //! is one tag byte followed by the variant's fields.
@@ -18,14 +18,13 @@
 //! an unbounded allocation.
 
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 use comptest_core::exec::{ExecOptions, SampleMode};
 use comptest_dut::DeviceSpec;
 use comptest_dut::ElectricalConfig;
 use comptest_model::{CanFrameId, SimTime};
 
-use crate::events::EngineEvent;
+use crate::wire::{put_f64, put_str, put_varint, Reader, WireError};
 
 /// Protocol magic carried by the `Hello` handshake frame.
 pub(crate) const MAGIC: [u8; 3] = *b"CWP";
@@ -33,7 +32,7 @@ pub(crate) const MAGIC: [u8; 3] = *b"CWP";
 /// Protocol version; bumped on any wire-layout change. A worker that sees
 /// a different version refuses the handshake with an `Error` frame, so a
 /// mixed-version parent/worker pair fails loudly instead of corrupting.
-pub(crate) const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 2;
 
 /// Upper bound on one frame's payload, validated before allocating. Real
 /// frames are a few KiB (a stand text, a script XML, a result record); a
@@ -103,133 +102,42 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive readers/writers (the cache codec's idioms, local to this
-// protocol: its `Reader` is private to `cache::binary`).
+// Frame-level helpers over the shared `wire` primitives
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return err(format!(
-                "truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            ));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => err(format!("bad bool byte {other}")),
-        }
-    }
-
-    /// LEB128 varint, overflow-checked (max 10 bytes for a u64).
-    fn varint(&mut self) -> Result<u64, FrameError> {
-        let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            let bits = u64::from(byte & 0x7f);
-            if shift >= 64 || (shift == 63 && bits > 1) {
-                return err("varint overflow");
-            }
-            out |= bits << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
-    }
-
-    fn len(&mut self) -> Result<usize, FrameError> {
-        let n = self.varint()?;
-        let n = usize::try_from(n).map_err(|_| FrameError("length exceeds usize".into()))?;
-        if n > self.remaining() {
-            return err(format!("length {n} exceeds remaining {}", self.remaining()));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError("invalid UTF-8".into()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        let raw = self.take(8)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(raw);
-        Ok(f64::from_bits(u64::from_le_bytes(le)))
-    }
-
-    fn done(&self) -> Result<(), FrameError> {
-        if self.remaining() != 0 {
-            return err(format!("{} trailing bytes", self.remaining()));
-        }
-        Ok(())
+impl From<WireError> for FrameError {
+    fn from(e: WireError) -> Self {
+        FrameError(e.0)
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+fn read_string(r: &mut Reader<'_>) -> Result<String, FrameError> {
+    Ok(r.str()?.to_owned())
+}
+
+fn read_bool(r: &mut Reader<'_>) -> Result<bool, FrameError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => err(format!("bad bool byte {other}")),
     }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_varint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
 }
 
 fn read_usize(r: &mut Reader<'_>) -> Result<usize, FrameError> {
     usize::try_from(r.varint()?).map_err(|_| FrameError("index exceeds usize".into()))
+}
+
+/// A varint count followed by that many varints.
+fn read_varints(r: &mut Reader<'_>) -> Result<Vec<u64>, FrameError> {
+    let n = r.length()?;
+    (0..n).map(|_| Ok(r.varint()?)).collect()
+}
+
+fn put_varints(out: &mut Vec<u8>, values: &[u64]) {
+    put_varint(out, values.len() as u64);
+    for &v in values {
+        put_varint(out, v);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,14 +151,12 @@ fn put_spec(out: &mut Vec<u8>, spec: &DeviceSpec) {
     put_f64(out, spec.cfg.low_threshold);
     put_f64(out, spec.cfg.high_threshold);
     put_f64(out, spec.cfg.drive_resistance);
-    put_varint(out, spec.dropped_frames.len() as u64);
-    for frame in &spec.dropped_frames {
-        put_varint(out, u64::from(frame.0));
-    }
+    let frames: Vec<u64> = spec.dropped_frames.iter().map(|f| u64::from(f.0)).collect();
+    put_varints(out, &frames);
 }
 
 fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
-    let behavior = r.str()?;
+    let behavior = read_string(r)?;
     let cfg = ElectricalConfig {
         ubatt: r.f64()?,
         pull_up: r.f64()?,
@@ -258,13 +164,14 @@ fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
         high_threshold: r.f64()?,
         drive_resistance: r.f64()?,
     };
-    let n = r.len()?;
-    let mut dropped_frames = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let id = r.varint()?;
-        let id = u32::try_from(id).map_err(|_| FrameError("CAN frame id exceeds u32".into()))?;
-        dropped_frames.push(CanFrameId(id));
-    }
+    let dropped_frames = read_varints(r)?
+        .into_iter()
+        .map(|id| {
+            u32::try_from(id)
+                .map(CanFrameId)
+                .map_err(|_| FrameError("CAN frame id exceeds u32".into()))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(DeviceSpec {
         behavior,
         cfg,
@@ -285,7 +192,7 @@ pub(crate) enum ToWorker {
         /// The campaign's execution options, applied to every job.
         exec: ExecOptions,
     },
-    /// Interns one test stand under `id`; later `RunTest`/`RunCell` frames
+    /// Interns one test stand under `id`; later `RunRange` frames
     /// reference it by id. Sent at most once per (worker, stand).
     Stand {
         /// Parent-assigned intern id.
@@ -307,34 +214,13 @@ pub(crate) enum ToWorker {
         /// keeping remote results byte-identical to serial.
         names: Vec<String>,
     },
-    /// Executes one test-granular job against a fresh device realized from
-    /// `spec`.
-    RunTest {
-        /// Merge-slot index, echoed back in `TestDone`.
+    /// Executes one job: a contiguous range of one cell's tests, in order,
+    /// each against its own fresh device realized from `spec`, stopping at
+    /// the first planning error.
+    RunRange {
+        /// Merge-slot index, echoed back in `RangeDone`.
         job: usize,
-        /// Deterministic cell index (event payloads).
-        cell: usize,
-        /// Test index within its suite (event payloads).
-        test: usize,
-        /// Suite name (event payloads).
-        suite: String,
-        /// Test name (event payloads).
-        name: String,
-        /// Interned script id.
-        script: u64,
-        /// Interned stand id.
-        stand: u64,
-        /// Registry device recipe for the fresh DUT.
-        spec: DeviceSpec,
-    },
-    /// Executes one whole suite×stand cell: the scripts in suite order,
-    /// each against its own fresh device realized from `spec`.
-    RunCell {
-        /// Merge-slot (cell) index, echoed back in `CellDone`.
-        cell: usize,
-        /// Suite name (event payloads).
-        suite: String,
-        /// Interned script ids in suite order.
+        /// Interned script ids of the range, in suite order.
         scripts: Vec<u64>,
         /// Interned stand id.
         stand: u64,
@@ -360,7 +246,7 @@ impl ToWorker {
                         put_varint(&mut out, interval.as_micros());
                     }
                 }
-                put_bool(&mut out, exec.stop_on_failure);
+                out.push(u8::from(exec.stop_on_failure));
             }
             ToWorker::Stand { id, text } => {
                 out.push(1);
@@ -376,44 +262,19 @@ impl ToWorker {
                     put_str(&mut out, name);
                 }
             }
-            ToWorker::RunTest {
+            ToWorker::RunRange {
                 job,
-                cell,
-                test,
-                suite,
-                name,
-                script,
+                scripts,
                 stand,
                 spec,
             } => {
                 out.push(3);
                 put_varint(&mut out, *job as u64);
-                put_varint(&mut out, *cell as u64);
-                put_varint(&mut out, *test as u64);
-                put_str(&mut out, suite);
-                put_str(&mut out, name);
-                put_varint(&mut out, *script);
+                put_varints(&mut out, scripts);
                 put_varint(&mut out, *stand);
                 put_spec(&mut out, spec);
             }
-            ToWorker::RunCell {
-                cell,
-                suite,
-                scripts,
-                stand,
-                spec,
-            } => {
-                out.push(4);
-                put_varint(&mut out, *cell as u64);
-                put_str(&mut out, suite);
-                put_varint(&mut out, scripts.len() as u64);
-                for id in scripts {
-                    put_varint(&mut out, *id);
-                }
-                put_varint(&mut out, *stand);
-                put_spec(&mut out, spec);
-            }
-            ToWorker::Shutdown => out.push(5),
+            ToWorker::Shutdown => out.push(4),
         }
         out
     }
@@ -439,54 +300,33 @@ impl ToWorker {
                 ToWorker::Hello {
                     exec: ExecOptions {
                         sample,
-                        stop_on_failure: r.bool()?,
+                        stop_on_failure: read_bool(&mut r)?,
                     },
                 }
             }
             1 => ToWorker::Stand {
                 id: r.varint()?,
-                text: r.str()?,
+                text: read_string(&mut r)?,
             },
             2 => {
                 let id = r.varint()?;
-                let xml = r.str()?;
-                let n = r.len()?;
-                let mut names = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    names.push(r.str()?);
-                }
+                let xml = read_string(&mut r)?;
+                let n = r.length()?;
+                let names = (0..n)
+                    .map(|_| read_string(&mut r))
+                    .collect::<Result<_, _>>()?;
                 ToWorker::Script { id, xml, names }
             }
-            3 => ToWorker::RunTest {
+            3 => ToWorker::RunRange {
                 job: read_usize(&mut r)?,
-                cell: read_usize(&mut r)?,
-                test: read_usize(&mut r)?,
-                suite: r.str()?,
-                name: r.str()?,
-                script: r.varint()?,
+                scripts: read_varints(&mut r)?,
                 stand: r.varint()?,
                 spec: read_spec(&mut r)?,
             },
-            4 => {
-                let cell = read_usize(&mut r)?;
-                let suite = r.str()?;
-                let n = r.len()?;
-                let mut scripts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    scripts.push(r.varint()?);
-                }
-                ToWorker::RunCell {
-                    cell,
-                    suite,
-                    scripts,
-                    stand: r.varint()?,
-                    spec: read_spec(&mut r)?,
-                }
-            }
-            5 => ToWorker::Shutdown,
+            4 => ToWorker::Shutdown,
             other => return err(format!("bad parent frame tag {other}")),
         };
-        r.done()?;
+        read_done(&r)?;
         Ok(frame)
     }
 }
@@ -495,7 +335,9 @@ impl ToWorker {
 // Worker → parent frames
 // ---------------------------------------------------------------------------
 
-/// Frames a worker child sends to the parent over its stdout.
+/// Frames a worker child sends to the parent over its stdout. Workers send
+/// no progress events: the parent emits every event itself, from the one
+/// event-shape implementation all executors share.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FromWorker {
     /// Handshake acknowledgement (version echoed for diagnostics).
@@ -503,27 +345,17 @@ pub(crate) enum FromWorker {
         /// The worker's protocol version.
         version: u8,
     },
-    /// A live progress event from the job currently executing; the parent
-    /// forwards it verbatim into the campaign's event stream.
-    Event(EngineEvent),
-    /// Outcome of a `RunTest` frame: the `job` slot plus the outcome as an
-    /// encoded single-test cache record (`cache::binary` layout, so the
-    /// result round-trips bit-exactly — the same property the cache's
-    /// byte-identity conformance pins down).
-    TestDone {
+    /// Outcome of a `RunRange` frame: the determined per-test outcomes (a
+    /// prefix of the range when a planning error stopped it) as an encoded
+    /// cache record (`cache::binary` layout, so results round-trip
+    /// bit-exactly), plus each executed test's worker-side wall time.
+    RangeDone {
         /// Echoed merge-slot index.
         job: usize,
-        /// `cache::binary`-encoded record holding the one outcome.
+        /// `cache::binary`-encoded record with the range's outcomes.
         record: Vec<u8>,
-    },
-    /// Outcome of a `RunCell` frame: the per-test outcomes (possibly a
-    /// truncated prefix, exactly like local cell execution) as an encoded
-    /// cache record.
-    CellDone {
-        /// Echoed cell index.
-        cell: usize,
-        /// `cache::binary`-encoded record with the cell's outcomes.
-        record: Vec<u8>,
+        /// Wall-clock microseconds per executed test, in outcome order.
+        walls: Vec<u64>,
     },
     /// Fatal worker-side problem (protocol violation, unrealizable device
     /// spec). The worker exits right after sending it.
@@ -533,159 +365,56 @@ pub(crate) enum FromWorker {
     },
 }
 
-/// Event tags the protocol can carry — the per-job progress variants. The
-/// worker never emits the others (`CellCached` needs a cache, worker
-/// events come from the parent).
 impl FromWorker {
-    pub(crate) fn encode(&self) -> Result<Vec<u8>, FrameError> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             FromWorker::Ready { version } => {
                 out.push(0);
                 out.push(*version);
             }
-            FromWorker::Event(event) => {
+            FromWorker::RangeDone { job, record, walls } => {
                 out.push(1);
-                put_event(&mut out, event)?;
-            }
-            FromWorker::TestDone { job, record } => {
-                out.push(2);
                 put_varint(&mut out, *job as u64);
-                put_bytes(&mut out, record);
-            }
-            FromWorker::CellDone { cell, record } => {
-                out.push(3);
-                put_varint(&mut out, *cell as u64);
-                put_bytes(&mut out, record);
+                put_varint(&mut out, record.len() as u64);
+                out.extend_from_slice(record);
+                put_varints(&mut out, walls);
             }
             FromWorker::Error { message } => {
-                out.push(4);
+                out.push(2);
                 put_str(&mut out, message);
             }
         }
-        Ok(out)
+        out
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(bytes);
         let frame = match r.u8()? {
             0 => FromWorker::Ready { version: r.u8()? },
-            1 => FromWorker::Event(read_event(&mut r)?),
-            2 => FromWorker::TestDone {
+            1 => FromWorker::RangeDone {
                 job: read_usize(&mut r)?,
-                record: r.bytes()?,
+                record: {
+                    let n = r.length()?;
+                    r.take(n)?.to_vec()
+                },
+                walls: read_varints(&mut r)?,
             },
-            3 => FromWorker::CellDone {
-                cell: read_usize(&mut r)?,
-                record: r.bytes()?,
+            2 => FromWorker::Error {
+                message: read_string(&mut r)?,
             },
-            4 => FromWorker::Error { message: r.str()? },
             other => return err(format!("bad worker frame tag {other}")),
         };
-        r.done()?;
+        read_done(&r)?;
         Ok(frame)
     }
 }
 
-fn put_event(out: &mut Vec<u8>, event: &EngineEvent) -> Result<(), FrameError> {
-    match event {
-        EngineEvent::JobStarted { cell, suite, stand } => {
-            out.push(0);
-            put_varint(out, *cell as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-        }
-        EngineEvent::JobFinished {
-            cell,
-            suite,
-            stand,
-            status,
-            failed,
-        } => {
-            out.push(1);
-            put_varint(out, *cell as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, status);
-            put_bool(out, *failed);
-        }
-        EngineEvent::TestStarted {
-            cell,
-            test,
-            suite,
-            stand,
-            name,
-        } => {
-            out.push(2);
-            put_varint(out, *cell as u64);
-            put_varint(out, *test as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, name);
-        }
-        EngineEvent::TestFinished {
-            cell,
-            test,
-            suite,
-            stand,
-            name,
-            status,
-            failed,
-            duration,
-        } => {
-            out.push(3);
-            put_varint(out, *cell as u64);
-            put_varint(out, *test as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, name);
-            put_str(out, status);
-            put_bool(out, *failed);
-            let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
-            put_varint(out, micros);
-        }
-        other => {
-            return err(format!(
-                "event {other:?} is not representable on the worker protocol"
-            ))
-        }
+fn read_done(r: &Reader<'_>) -> Result<(), FrameError> {
+    if !r.is_empty() {
+        return err(format!("{} trailing bytes", r.remaining()));
     }
     Ok(())
-}
-
-fn read_event(r: &mut Reader<'_>) -> Result<EngineEvent, FrameError> {
-    Ok(match r.u8()? {
-        0 => EngineEvent::JobStarted {
-            cell: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-        },
-        1 => EngineEvent::JobFinished {
-            cell: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            status: r.str()?,
-            failed: r.bool()?,
-        },
-        2 => EngineEvent::TestStarted {
-            cell: read_usize(r)?,
-            test: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            name: r.str()?,
-        },
-        3 => EngineEvent::TestFinished {
-            cell: read_usize(r)?,
-            test: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            name: r.str()?,
-            status: r.str()?,
-            failed: r.bool()?,
-            duration: Duration::from_micros(r.varint()?),
-        },
-        other => return err(format!("bad event tag {other}")),
-    })
 }
 
 #[cfg(test)]
@@ -720,19 +449,14 @@ mod tests {
                 xml: "<testscript name=\"t\"/>".into(),
                 names: vec!["INT_ILL".into(), "Ds_Fl".into()],
             },
-            ToWorker::RunTest {
+            ToWorker::RunRange {
                 job: 7,
-                cell: 2,
-                test: 1,
-                suite: "lamp".into(),
-                name: "night_on".into(),
-                script: 9,
+                scripts: vec![9],
                 stand: 3,
                 spec: spec(),
             },
-            ToWorker::RunCell {
-                cell: 4,
-                suite: "lamp".into(),
+            ToWorker::RunRange {
+                job: 4,
                 scripts: vec![9, 10, 11],
                 stand: 3,
                 spec: spec(),
@@ -749,49 +473,22 @@ mod tests {
     fn from_worker_frames_round_trip() {
         let frames = vec![
             FromWorker::Ready { version: VERSION },
-            FromWorker::Event(EngineEvent::TestStarted {
-                cell: 1,
-                test: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                name: "night_on".into(),
-            }),
-            FromWorker::Event(EngineEvent::TestFinished {
-                cell: 1,
-                test: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                name: "night_on".into(),
-                status: "PASS".into(),
-                failed: false,
-                duration: Duration::from_micros(420),
-            }),
-            FromWorker::Event(EngineEvent::JobStarted {
-                cell: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-            }),
-            FromWorker::Event(EngineEvent::JobFinished {
-                cell: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                status: "PASS (2P/0F/0E)".into(),
-                failed: false,
-            }),
-            FromWorker::TestDone {
+            FromWorker::RangeDone {
                 job: 5,
                 record: vec![1, 2, 3],
+                walls: vec![420],
             },
-            FromWorker::CellDone {
-                cell: 2,
+            FromWorker::RangeDone {
+                job: 2,
                 record: vec![],
+                walls: vec![],
             },
             FromWorker::Error {
                 message: "unrealizable spec".into(),
             },
         ];
         for frame in frames {
-            let bytes = frame.encode().unwrap();
+            let bytes = frame.encode();
             assert_eq!(FromWorker::decode(&bytes).unwrap(), frame, "{frame:?}");
         }
     }
@@ -799,19 +496,15 @@ mod tests {
     #[test]
     fn hostile_bytes_never_panic() {
         // Truncations of a valid frame at every length.
-        let valid = ToWorker::RunTest {
+        let valid = ToWorker::RunRange {
             job: 7,
-            cell: 2,
-            test: 1,
-            suite: "lamp".into(),
-            name: "night_on".into(),
-            script: 9,
+            scripts: vec![9, 10],
             stand: 3,
             spec: spec(),
         }
         .encode();
         for n in 0..valid.len() {
-            let _ = ToWorker::decode(&valid[..n]);
+            assert!(ToWorker::decode(&valid[..n]).is_err(), "prefix {n} decoded");
             let _ = FromWorker::decode(&valid[..n]);
         }
         // Bad tags, overlong varints, lying lengths, bad UTF-8.
@@ -825,8 +518,10 @@ mod tests {
             vec![1, 0, 2, 0xff, 0xfe],
             vec![0, b'X', b'Y', b'Z', 1, 0, 0],
             vec![0, b'C', b'W', b'P', 99, 0, 0],
+            vec![0, b'C', b'W', b'P', 1, 0, 0],
             vec![2, 1, 0x85],
-            vec![4, 0, 0xff, 0xff, 0x7f],
+            vec![3, 0, 0xff, 0xff, 0x7f],
+            vec![1, 0, 0xff, 0xff, 0x7f],
         ];
         for bytes in &cases {
             let _ = ToWorker::decode(bytes);

@@ -8,14 +8,19 @@
 //! protocol in [`frame`]. The division of labour:
 //!
 //! * the **parent** plans, packages, admits against the campaign cache
-//!   (only misses are shipped), dispatches in plan order with a window of
-//!   one in-flight job per worker, forwards worker progress events into
-//!   the campaign's event stream, feeds results back into the cache, and
-//!   merges outcomes byte-identical to every local executor;
+//!   (only misses are shipped), dispatches jobs — each one cell's
+//!   contiguous range of tests, the one job shape of every executor — in
+//!   plan order with a window of one in-flight job per worker, emits every
+//!   progress event itself (the started event at dispatch, the finished
+//!   one on receipt, through the same event-shape code as the local
+//!   executors), feeds results back into the cache, and merges outcomes
+//!   byte-identical to every local executor;
 //! * each **worker** ([`worker_main`]) interns stands and scripts once,
 //!   realizes a fresh device per test from the shipped
-//!   [`DeviceSpec`](comptest_dut::DeviceSpec), and executes through the
-//!   same `plan_and_execute` path as local execution.
+//!   [`DeviceSpec`](comptest_dut::DeviceSpec), executes the range in
+//!   order through the same `plan_and_execute` path as local execution
+//!   (stopping at the first planning error), and ships the outcomes back
+//!   with each test's wall time.
 //!
 //! # Robustness
 //!
@@ -46,20 +51,17 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use comptest_core::campaign::{merge_test_outcomes, CampaignCell, TestJobOutcome};
+use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
 use comptest_dut::DeviceSpec;
 
-use crate::cache::fold_cell;
-use crate::campaign::{Campaign, Granularity};
+use crate::campaign::Campaign;
 use crate::events::{emit, EngineEvent};
 use crate::executor::{
-    check_lost, check_verified, collect, fold_cell_slots, outcome_sim_end, outcome_status,
-    rescue_cell_strands, rescue_test_strands, CampaignExecutor, JobCtx, JobMsg, PackagedCell,
-    PackagedJob, Prepared, Strand,
+    admit, execute_range, CampaignExecutor, JobCtx, JobMsg, Launch, RangeJob, RangeRun,
 };
-use crate::handle::{CampaignHandle, CampaignOutcome, EventStream};
-use crate::obs::{Counter, Gauge, SpanCat};
+use crate::handle::CampaignHandle;
+use crate::obs::{Counter, Gauge};
 use frame::{read_frame, write_frame, FromWorker, ToWorker};
 pub use worker::{worker_main, HOLD_MS_ENV};
 
@@ -222,83 +224,15 @@ impl RemoteExecutor {
 
 impl CampaignExecutor for RemoteExecutor {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        let prepared = Prepared::new(campaign)?;
-        let ctx = JobCtx::new(campaign, &prepared);
-        let (events_tx, events_rx) = mpsc::channel();
-        ctx.emit_cache_warnings(&events_tx);
+        let (launch, jobs, events, results) = Launch::new(campaign)?;
         let lost = Arc::new(Mutex::new(Vec::<String>::new()));
         let cfg = self.config();
-        let run_token = ctx.cancel.run_token();
-        ctx.obs.gauge_add(Gauge::Workers, cfg.workers as i64);
         let claimed_workers = cfg.workers as i64;
-        match campaign.granularity {
-            Granularity::Test => {
-                let jobs = prepared.package_jobs(campaign.entries);
-                let n_jobs = jobs.len();
-                let (results_tx, results_rx) = mpsc::channel();
-                {
-                    let ctx = ctx.clone();
-                    let lost = Arc::clone(&lost);
-                    std::thread::spawn(move || {
-                        Orchestrator::new(cfg, ctx, events_tx, results_tx, lost).run(jobs);
-                    });
-                }
-                let entries = campaign.entries;
-                let stands = campaign.stands;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-                        ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-                        rescue_test_strands(strands, entries, &ctx, &mut slots);
-                        let lost = std::mem::take(&mut *lost.lock().unwrap());
-                        if !lost.is_empty() {
-                            return Err(CoreError::JobsLost {
-                                lost: lost.len(),
-                                jobs: lost,
-                            });
-                        }
-                        let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-                        check_lost(cancelled, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(CampaignOutcome { result, cancelled })
-                    }),
-                ))
-            }
-            Granularity::Cell => {
-                let cells = prepared.package_cells(campaign.entries);
-                let n_cells = cells.len();
-                let (results_tx, results_rx) = mpsc::channel();
-                {
-                    let ctx = ctx.clone();
-                    let lost = Arc::clone(&lost);
-                    std::thread::spawn(move || {
-                        Orchestrator::new(cfg, ctx, events_tx, results_tx, lost).run(cells);
-                    });
-                }
-                let entries = campaign.entries;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-                        ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-                        rescue_cell_strands(strands, entries, &ctx, &mut slots);
-                        let lost = std::mem::take(&mut *lost.lock().unwrap());
-                        if !lost.is_empty() {
-                            return Err(CoreError::JobsLost {
-                                lost: lost.len(),
-                                jobs: lost,
-                            });
-                        }
-                        let outcome = fold_cell_slots(slots, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(outcome)
-                    }),
-                ))
-            }
-        }
+        launch.ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
+        let orchestrator =
+            Orchestrator::new(cfg, launch.ctx.clone(), events, results, Arc::clone(&lost));
+        std::thread::spawn(move || orchestrator.run(jobs));
+        Ok(launch.into_handle(claimed_workers, Some(lost)))
     }
 }
 
@@ -311,302 +245,72 @@ struct OrchestratorConfig {
     envs: Vec<(String, String)>,
 }
 
-/// One schedulable unit of remote work — a test-granular job or a whole
-/// cell — with the operations the orchestrator needs. Implemented by
-/// [`PackagedJob`] and [`PackagedCell`]; the scheduling loop is shared.
-trait RemoteUnit: Sized + Send + 'static {
-    /// What the merge collects for this granularity.
-    type Output: Send + 'static;
-
-    /// `suite::test` / `suite @ stand` label for `JobsLost` attribution.
-    fn label(&self) -> String;
-
-    /// Cancel-check plus cache admission at dispatch time; `true` when
-    /// the unit resolved without executing.
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<Self::Output>>,
-    ) -> bool;
-
-    /// `true` when packaging predicted a hit and built no device; the
-    /// unit strands back to the join instead of shipping.
-    fn stranded(&self) -> bool;
-
-    fn into_strand(self) -> Strand;
-
-    /// The registry device recipe — `None` for custom/fault-wrapped
-    /// devices, which run in-process instead of remotely.
-    fn spec(&self) -> Option<DeviceSpec>;
-
-    /// Frames that ship this unit to `conn` (interning anything the
-    /// worker has not seen yet).
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker>;
-
-    /// In-process execution — the degradation path.
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<Self::Output>>,
-    );
-
-    /// Consumes the worker's result record: cache store, counters, stop
-    /// latch, collector message. A decode failure bubbles up so the
-    /// caller treats the worker as dead (and retries the unit).
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<Self::Output>>,
-    ) -> Result<(), String>;
+/// The registry device recipe shared by every test of a job — `None` for
+/// custom/fault-wrapped devices (and for empty ranges, which have nothing
+/// to execute remotely); such jobs run in-process instead.
+fn job_spec(job: &RangeJob) -> Option<DeviceSpec> {
+    let mut specs = job.tests.iter().map(|t| t.device.as_ref()?.spec());
+    let first = specs.next()??;
+    specs
+        .all(|spec| spec.as_ref() == Some(&first))
+        .then_some(first)
 }
 
-impl RemoteUnit for PackagedJob {
-    type Output = TestJobOutcome;
-
-    fn label(&self) -> String {
-        format!("{}::{}", self.suite, self.name)
-    }
-
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> bool {
-        if ctx.cancel.is_cancelled() {
-            let _ = results.send(JobMsg::Cancelled);
-            return true;
-        }
-        ctx.try_cached_test(self, events, results)
-    }
-
-    fn stranded(&self) -> bool {
-        self.device.is_none()
-    }
-
-    fn into_strand(self) -> Strand {
-        Strand::Test(Box::new(self))
-    }
-
-    fn spec(&self) -> Option<DeviceSpec> {
-        self.device.as_ref().and_then(|d| d.spec())
-    }
-
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker> {
-        let mut frames = Vec::new();
-        let stand = interner.stand(&self.stand_name, || {
-            comptest_stand::write_stand(&self.stand)
+/// Frames that ship one job to `conn`, interning the stand and scripts the
+/// worker has not seen yet.
+fn job_frames(
+    job: &RangeJob,
+    spec: DeviceSpec,
+    interner: &mut Interner,
+    conn: &mut WorkerConn,
+) -> Vec<ToWorker> {
+    let mut frames = Vec::new();
+    let stand = interner.stand(&job.stand_name, || comptest_stand::write_stand(&job.stand));
+    if conn.sent_stands.insert(stand.id) {
+        frames.push(ToWorker::Stand {
+            id: stand.id,
+            text: stand.payload,
         });
-        if conn.sent_stands.insert(stand.id) {
-            frames.push(ToWorker::Stand {
-                id: stand.id,
-                text: stand.payload,
-            });
-        }
-        let script = interner.script(&self.suite, &self.script.name, || self.script.to_xml());
+    }
+    let mut scripts = Vec::with_capacity(job.tests.len());
+    for test in &job.tests {
+        let script = interner.script(&job.suite, &test.script.name, || test.script.to_xml());
         if conn.sent_scripts.insert(script.id) {
             frames.push(ToWorker::Script {
                 id: script.id,
                 xml: script.payload,
-                names: signal_spellings(&self.script),
+                names: signal_spellings(&test.script),
             });
         }
-        frames.push(ToWorker::RunTest {
-            job: self.job,
-            cell: self.cell,
-            test: self.test,
-            suite: self.suite.clone(),
-            name: self.name.clone(),
-            script: script.id,
-            stand: stand.id,
-            spec,
-        });
-        frames
+        scripts.push(script.id);
     }
-
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) {
-        crate::executor::run_packaged_test(self, ctx, events, results);
-    }
-
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> Result<(), String> {
-        let mut outcomes = worker::decode_outcomes(record)?;
-        let outcome = outcomes.pop().ok_or("empty test result record")?;
-        if !outcomes.is_empty() {
-            return Err("test result record held more than one outcome".into());
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_test(self.cell, self.test, &outcome);
-        }
-        let (status, failed) = outcome_status(&outcome);
-        // Spans open and close at receipt: the remote wall time is real,
-        // but the parent's trace timeline must stay self-consistent.
-        let span = ctx
-            .obs
-            .span_begin(SpanCat::Test, || format!("{}::{}", self.suite, self.name));
-        ctx.obs.span_end(span, || Some(status));
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.inc(Counter::TestsExecuted);
-        // Steps ran in the worker, whose recorder dies with it; the step
-        // results in the record are the parent's source of truth.
-        ctx.obs.add(
-            Counter::StepsExecuted,
-            count_steps(std::slice::from_ref(&outcome)),
-        );
-        ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
-        if failed && ctx.stop {
-            ctx.cancel.trip();
-        }
-        let _ = results.send(JobMsg::Done(self.job, outcome));
-        Ok(())
-    }
+    frames.push(ToWorker::RunRange {
+        job: job.slot,
+        scripts,
+        stand: stand.id,
+        spec,
+    });
+    frames
 }
 
-impl RemoteUnit for PackagedCell {
-    type Output = CampaignCell;
-
-    fn label(&self) -> String {
-        format!("{} @ {}", self.suite, self.stand_name)
+/// Decodes and validates a worker's result for `job`: a determined prefix
+/// of the shipped range (every test, or up to the first planning error)
+/// with one wall time per outcome. Anything else is a lying or corrupt
+/// worker.
+fn decode_result(
+    job: &RangeJob,
+    echoed: usize,
+    record: &[u8],
+    walls: &[u64],
+) -> Result<Vec<TestJobOutcome>, String> {
+    let outcomes = worker::decode_outcomes(record)?;
+    let determined = outcomes.len() == job.tests.len()
+        || (outcomes.len() < job.tests.len() && matches!(outcomes.last(), Some(Err(_))));
+    let stops_at_first_error = outcomes.iter().rev().skip(1).all(Result::is_ok);
+    if echoed != job.slot || !determined || !stops_at_first_error || walls.len() != outcomes.len() {
+        return Err("result does not match the shipped range".into());
     }
-
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> bool {
-        if ctx.cancel.is_cancelled() {
-            let _ = results.send(JobMsg::Cancelled);
-            return true;
-        }
-        ctx.try_cached_cell(self, events, results)
-    }
-
-    fn stranded(&self) -> bool {
-        self.tests.iter().any(|t| t.device.is_none())
-    }
-
-    fn into_strand(self) -> Strand {
-        Strand::Cell(Box::new(self))
-    }
-
-    fn spec(&self) -> Option<DeviceSpec> {
-        // All tests of a cell share one entry, hence one device recipe; an
-        // empty cell has nothing to execute remotely and runs (trivially)
-        // in-process.
-        let mut specs = self.tests.iter().map(|t| t.device.as_ref()?.spec());
-        let first = specs.next()??;
-        for spec in specs {
-            if spec.as_ref() != Some(&first) {
-                return None;
-            }
-        }
-        Some(first)
-    }
-
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker> {
-        let mut frames = Vec::new();
-        let stand = interner.stand(&self.stand_name, || {
-            comptest_stand::write_stand(&self.stand)
-        });
-        if conn.sent_stands.insert(stand.id) {
-            frames.push(ToWorker::Stand {
-                id: stand.id,
-                text: stand.payload,
-            });
-        }
-        let mut scripts = Vec::with_capacity(self.tests.len());
-        for test in &self.tests {
-            let script = interner.script(&self.suite, &test.script.name, || test.script.to_xml());
-            if conn.sent_scripts.insert(script.id) {
-                frames.push(ToWorker::Script {
-                    id: script.id,
-                    xml: script.payload,
-                    names: signal_spellings(&test.script),
-                });
-            }
-            scripts.push(script.id);
-        }
-        frames.push(ToWorker::RunCell {
-            cell: self.cell,
-            suite: self.suite.clone(),
-            scripts,
-            stand: stand.id,
-            spec,
-        });
-        frames
-    }
-
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) {
-        crate::executor::run_packaged_cell(self, ctx, events, results);
-    }
-
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> Result<(), String> {
-        let outcomes = worker::decode_outcomes(record)?;
-        if outcomes.len() > self.tests.len() {
-            return Err("cell result record held more outcomes than tests".into());
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_cell(self.cell, &self.suite, &self.stand_name, &outcomes);
-        }
-        let span = ctx.obs.span_begin(SpanCat::Cell, || {
-            format!("{} on {}", self.suite, self.stand_name)
-        });
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.add(Counter::TestsExecuted, outcomes.len() as u64);
-        ctx.obs.add(Counter::StepsExecuted, count_steps(&outcomes));
-        if let Some(last_sim) = outcomes.last().map(outcome_sim_end) {
-            ctx.obs.test_timing(wall, last_sim);
-        }
-        let cell = fold_cell(self.suite.clone(), self.stand_name.clone(), outcomes);
-        let failed = !cell.passed();
-        ctx.obs.span_end(span, || Some(cell.status()));
-        if failed && ctx.stop {
-            ctx.cancel.trip();
-        }
-        let _ = results.send(JobMsg::Done(self.cell, cell));
-        Ok(())
-    }
+    Ok(outcomes)
 }
 
 /// Executed steps carried home in a result record — the parent-side
@@ -653,11 +357,13 @@ impl Interner {
     }
 }
 
-/// What a worker's reader thread reports to the orchestrator.
+/// What a worker's reader thread reports to the orchestrator: the slot and
+/// the process (its spawn number) it reads for, then the frame or the
+/// death.
 enum WorkerMsg {
-    Frame(usize, FromWorker),
+    Frame(usize, usize, FromWorker),
     /// EOF or an undecodable frame — the worker is unusable.
-    Dead(usize),
+    Dead(usize, usize),
 }
 
 /// One live worker process: the child, its stdin, and what it has been
@@ -666,6 +372,9 @@ struct WorkerConn {
     child: Child,
     stdin: Option<ChildStdin>,
     pid: u32,
+    /// The spawn number of this process — what tells its reader's messages
+    /// apart from those of an earlier process in the same slot.
+    process: usize,
     sent_stands: std::collections::HashSet<u64>,
     sent_scripts: std::collections::HashSet<u64>,
 }
@@ -683,38 +392,39 @@ impl WorkerConn {
     }
 }
 
-/// One in-flight dispatch: the unit (kept for retry), its attempt count
-/// and the dispatch instant (wall-clock metrics at receipt).
-struct InFlight<U> {
-    unit: U,
+/// One in-flight dispatch: the job (kept for retry) and its attempt count.
+struct InFlight {
+    job: RangeJob,
     attempts: usize,
-    dispatched: Instant,
 }
 
-/// The scheduling loop shared by both granularities. Owns the queue, the
-/// worker slots and the channels; runs on its own thread so `launch`
-/// returns a live handle immediately.
-struct Orchestrator<U: RemoteUnit> {
+/// A queued job with its retry count once admitted (`None` until admission
+/// ran, so a job waiting for a busy worker consults the cache only once).
+type Queued = (RangeJob, Option<usize>);
+
+/// The scheduling loop. Owns the queue, the worker slots and the channels;
+/// runs on its own thread so `launch` returns a live handle immediately.
+struct Orchestrator {
     cfg: OrchestratorConfig,
     ctx: JobCtx,
     events: Sender<EngineEvent>,
-    results: Sender<JobMsg<U::Output>>,
+    results: Sender<JobMsg>,
     lost: Arc<Mutex<Vec<String>>>,
     interner: Interner,
     /// Worker slots: `None` until first spawn or after a death.
     slots: Vec<Option<WorkerConn>>,
-    inflight: Vec<Option<InFlight<U>>>,
+    inflight: Vec<Option<InFlight>>,
     msg_tx: Sender<WorkerMsg>,
     msg_rx: Receiver<WorkerMsg>,
     spawned: usize,
 }
 
-impl<U: RemoteUnit> Orchestrator<U> {
+impl Orchestrator {
     fn new(
         cfg: OrchestratorConfig,
         ctx: JobCtx,
         events: Sender<EngineEvent>,
-        results: Sender<JobMsg<U::Output>>,
+        results: Sender<JobMsg>,
         lost: Arc<Mutex<Vec<String>>>,
     ) -> Self {
         let (msg_tx, msg_rx) = mpsc::channel();
@@ -740,16 +450,23 @@ impl<U: RemoteUnit> Orchestrator<U> {
         self.cfg.workers * 2 + 2
     }
 
-    fn run(mut self, units: Vec<U>) {
-        let mut queue: VecDeque<(U, usize)> = units.into_iter().map(|u| (u, 0)).collect();
+    fn run(mut self, jobs: Vec<RangeJob>) {
+        let mut queue: VecDeque<Queued> = jobs.into_iter().map(|job| (job, None)).collect();
         loop {
             self.dispatch_ready(&mut queue);
             if queue.is_empty() && self.inflight.iter().all(Option::is_none) {
                 break;
             }
             match self.msg_rx.recv() {
-                Ok(WorkerMsg::Frame(slot, frame)) => self.on_frame(slot, frame, &mut queue),
-                Ok(WorkerMsg::Dead(slot)) => self.on_death(slot, &mut queue),
+                Ok(WorkerMsg::Frame(slot, process, frame)) if self.is_current(slot, process) => {
+                    self.on_frame(slot, frame, &mut queue)
+                }
+                Ok(WorkerMsg::Dead(slot, process)) if self.is_current(slot, process) => {
+                    self.on_death(slot, &mut queue)
+                }
+                // From a process already reaped (after a failed write, say):
+                // its slot may hold a successor, which must not pay for it.
+                Ok(_) => {}
                 // All reader threads gone while work remains: no workers
                 // were ever live. `dispatch_ready` degrades the rest to
                 // in-process execution on the next pass.
@@ -767,48 +484,60 @@ impl<U: RemoteUnit> Orchestrator<U> {
     /// happens here — at dispatch time, not packaging time — so a stop
     /// latch tripped by an earlier result truncates exactly like the
     /// local executors.
-    fn dispatch_ready(&mut self, queue: &mut VecDeque<(U, usize)>) {
-        while let Some((unit, attempts)) = queue.pop_front() {
-            if attempts == 0 && unit.admit(&self.ctx, &self.events, &self.results) {
-                continue;
-            }
-            if unit.stranded() {
-                let _ = self.results.send(JobMsg::Stranded(unit.into_strand()));
-                continue;
-            }
-            let Some(spec) = unit.spec() else {
-                self.run_local_caught(unit);
+    fn dispatch_ready(&mut self, queue: &mut VecDeque<Queued>) {
+        while let Some((job, attempts)) = queue.pop_front() {
+            let (job, attempts) = match attempts {
+                // Admitted earlier but still waiting for a worker: a stop
+                // latch tripped meanwhile cancels it, as admission would.
+                Some(0) if self.ctx.cancel.is_cancelled() => {
+                    let _ = self.results.send(JobMsg::Cancelled);
+                    continue;
+                }
+                Some(attempts) => (job, attempts),
+                None => match admit(job, &self.ctx, &self.events, &self.results) {
+                    Some(job) => (job, 0),
+                    None => continue,
+                },
+            };
+            let Some(spec) = job_spec(&job) else {
+                self.run_local_caught(job);
                 continue;
             };
             match self.idle_worker() {
                 Some(slot) => {
-                    if let Err(dead_slot) = self.ship_to(slot, &unit, spec) {
+                    if let Err(dead_slot) = self.ship_to(slot, &job, spec) {
                         // The write failed: the worker is dead. Requeue
-                        // the unit (the death handler will also run when
+                        // the job (the death handler will also run when
                         // the reader reports EOF) and try again.
-                        queue.push_front((unit, attempts));
+                        queue.push_front((job, Some(attempts)));
                         self.on_death(dead_slot, queue);
                         continue;
                     }
-                    self.inflight[slot] = Some(InFlight {
-                        unit,
-                        attempts,
-                        dispatched: Instant::now(),
-                    });
+                    // A retry was announced on its first dispatch.
+                    if attempts == 0 {
+                        emit(&self.events, job.started_event());
+                    }
+                    self.inflight[slot] = Some(InFlight { job, attempts });
                 }
                 None if self.live_workers() == 0 => {
                     // Zero workers and none can spawn: degrade the whole
                     // queue to in-process execution.
-                    self.run_local_caught(unit);
+                    self.run_local_caught(job);
                 }
                 None => {
-                    // All live workers busy: put the unit back and wait
+                    // All live workers busy: put the job back and wait
                     // for a result.
-                    queue.push_front((unit, attempts));
+                    queue.push_front((job, Some(attempts)));
                     return;
                 }
             }
         }
+    }
+
+    fn is_current(&self, slot: usize, process: usize) -> bool {
+        self.slots[slot]
+            .as_ref()
+            .is_some_and(|conn| conn.process == process)
     }
 
     fn live_workers(&self) -> usize {
@@ -857,6 +586,7 @@ impl<U: RemoteUnit> Orchestrator<U> {
             return Err(());
         }
         let pid = child.id();
+        let process = self.spawned;
         let msg_tx = self.msg_tx.clone();
         std::thread::spawn(move || {
             let mut stdout = stdout;
@@ -864,17 +594,17 @@ impl<U: RemoteUnit> Orchestrator<U> {
                 match read_frame(&mut stdout) {
                     Ok(Some(payload)) => match FromWorker::decode(&payload) {
                         Ok(frame) => {
-                            if msg_tx.send(WorkerMsg::Frame(slot, frame)).is_err() {
+                            if msg_tx.send(WorkerMsg::Frame(slot, process, frame)).is_err() {
                                 return;
                             }
                         }
                         Err(_) => {
-                            let _ = msg_tx.send(WorkerMsg::Dead(slot));
+                            let _ = msg_tx.send(WorkerMsg::Dead(slot, process));
                             return;
                         }
                     },
                     Ok(None) | Err(_) => {
-                        let _ = msg_tx.send(WorkerMsg::Dead(slot));
+                        let _ = msg_tx.send(WorkerMsg::Dead(slot, process));
                         return;
                     }
                 }
@@ -888,39 +618,35 @@ impl<U: RemoteUnit> Orchestrator<U> {
             child,
             stdin: Some(stdin),
             pid,
+            process,
             sent_stands: Default::default(),
             sent_scripts: Default::default(),
         });
         Ok(())
     }
 
-    /// Ships one unit to the worker in `slot`; `Err(slot)` when the pipe
+    /// Ships one job to the worker in `slot`; `Err(slot)` when the pipe
     /// write failed (worker dead).
-    fn ship_to(&mut self, slot: usize, unit: &U, spec: DeviceSpec) -> Result<(), usize> {
+    fn ship_to(&mut self, slot: usize, job: &RangeJob, spec: DeviceSpec) -> Result<(), usize> {
         let conn = self.slots[slot].as_mut().expect("shipping to empty slot");
-        let frames = unit.ship(spec, &mut self.interner, conn);
+        let frames = job_frames(job, spec, &mut self.interner, conn);
         conn.write_frames(&frames).map_err(|_| slot)
     }
 
-    fn on_frame(&mut self, slot: usize, frame: FromWorker, queue: &mut VecDeque<(U, usize)>) {
+    fn on_frame(&mut self, slot: usize, frame: FromWorker, queue: &mut VecDeque<Queued>) {
         match frame {
             FromWorker::Ready { .. } => {}
-            FromWorker::Event(event) => emit(&self.events, event),
-            FromWorker::TestDone { record, .. } | FromWorker::CellDone { record, .. } => {
+            FromWorker::RangeDone { job, record, walls } => {
                 let Some(inflight) = self.inflight[slot].take() else {
                     // A result with nothing in flight: protocol breach.
                     self.on_death(slot, queue);
                     return;
                 };
-                let wall = inflight.dispatched.elapsed();
-                match inflight
-                    .unit
-                    .finish_remote(&record, wall, &self.ctx, &self.results)
-                {
-                    Ok(()) => {}
+                match decode_result(&inflight.job, job, &record, &walls) {
+                    Ok(outcomes) => self.finish_remote(inflight.job, outcomes, &walls),
                     Err(_) => {
                         // Undecodable result: the worker is lying or
-                        // corrupt. Retry the unit elsewhere.
+                        // corrupt. Retry the job elsewhere.
                         self.inflight[slot] = Some(inflight);
                         self.on_death(slot, queue);
                     }
@@ -934,8 +660,8 @@ impl<U: RemoteUnit> Orchestrator<U> {
     }
 
     /// Handles a worker death: reap the child, surface `WorkerLost`, and
-    /// retry (with backoff) or report the in-flight unit lost.
-    fn on_death(&mut self, slot: usize, queue: &mut VecDeque<(U, usize)>) {
+    /// retry (with backoff) or report the in-flight job lost.
+    fn on_death(&mut self, slot: usize, queue: &mut VecDeque<Queued>) {
         let Some(mut conn) = self.slots[slot].take() else {
             return;
         };
@@ -957,22 +683,40 @@ impl<U: RemoteUnit> Orchestrator<U> {
                 // surviving (or respawned) worker.
                 let exp = u32::try_from(attempts.saturating_sub(1)).unwrap_or(u32::MAX);
                 std::thread::sleep(self.cfg.backoff.saturating_mul(1 << exp.min(8)));
-                queue.push_front((inflight.unit, attempts));
+                queue.push_front((inflight.job, Some(attempts)));
             } else {
-                self.lost.lock().unwrap().push(inflight.unit.label());
+                self.lost.lock().unwrap().push(inflight.job.label());
             }
         }
+    }
+
+    /// Reports a job a worker executed: the shipped outcomes replay
+    /// through the same [`RangeRun`] bookkeeping as local execution, with
+    /// each test's worker-side wall time.
+    fn finish_remote(&self, job: RangeJob, outcomes: Vec<TestJobOutcome>, walls: &[u64]) {
+        // Steps ran in the worker, whose recorder dies with it; the step
+        // results in the record are the parent's source of truth.
+        self.ctx
+            .obs
+            .add(Counter::StepsExecuted, count_steps(&outcomes));
+        let mut run = RangeRun::start(job, &self.ctx);
+        for (outcome, &micros) in outcomes.into_iter().zip(walls) {
+            run.record_shipped(outcome, Duration::from_micros(micros), &self.ctx);
+        }
+        run.finish(&self.ctx, &self.events, &self.results);
     }
 
     /// In-process degradation inside a panic catch: a panicking DUT model
     /// must surface as a lost job (with its label), never tear down the
     /// orchestrator — the behaviour `catches_lost_jobs` conformance pins.
-    fn run_local_caught(&self, unit: U) {
-        let label = unit.label();
+    fn run_local_caught(&self, job: RangeJob) {
+        let label = job.label();
         let ctx = &self.ctx;
         let events = &self.events;
         let results = &self.results;
-        let outcome = catch_unwind(AssertUnwindSafe(|| unit.run_local(ctx, events, results)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            execute_range(job, ctx, events, results)
+        }));
         if outcome.is_err() {
             // Rebalance the gauge the panicking job left claimed.
             ctx.obs.gauge_add(Gauge::InflightJobs, -1);

@@ -1,12 +1,13 @@
 //! The child side of the remote executor: `comptest worker`.
 //!
 //! A worker is a plain stdio filter: it reads [`ToWorker`] frames from
-//! stdin, executes the jobs through the exact same
+//! stdin, executes each shipped range of tests through the exact same
 //! [`plan_and_execute`](crate::executor::plan_and_execute) path every
 //! local executor uses (so outcomes are byte-identical by construction),
-//! and writes [`FromWorker`] frames — live progress events followed by the
-//! result record — to stdout. Stands and scripts arrive once per worker as
-//! interning frames; execution plans are resolved at most once per
+//! and writes one [`FromWorker`] result frame per range — the outcomes plus
+//! each test's wall time — to stdout. It emits no progress events: the
+//! parent reports those itself. Stands and scripts arrive once per worker
+//! as interning frames; execution plans are resolved at most once per
 //! (script, stand) pair, mirroring the parent's shared
 //! [`PlanSlot`](crate::executor::PlanSlot)s.
 //!
@@ -27,9 +28,8 @@ use comptest_script::TestScript;
 use comptest_stand::TestStand;
 
 use crate::cache::binary;
-use crate::cache::{fold_cell, CellRecord};
-use crate::events::EngineEvent;
-use crate::executor::{outcome_status, plan_and_execute, JobCtx, PlanSlot};
+use crate::cache::CellRecord;
+use crate::executor::{plan_and_execute, JobCtx, PlanSlot};
 use crate::handle::{CancelToken, RunCancel};
 use crate::obs::Recorder;
 use crate::remote::frame::{read_frame, write_frame, FromWorker, ToWorker, VERSION};
@@ -165,49 +165,14 @@ pub(crate) fn serve(mut input: impl Read, mut output: impl Write) -> Result<(), 
                 }
                 Err(error) => return refuse(&mut output, format!("bad script: {error}")),
             },
-            ToWorker::RunTest {
+            ToWorker::RunRange {
                 job,
-                cell,
-                test,
-                suite,
-                name,
-                script,
-                stand,
-                spec,
-            } => {
-                let result = run_test(
-                    &mut state,
-                    &mut output,
-                    job,
-                    cell,
-                    test,
-                    &suite,
-                    &name,
-                    script,
-                    stand,
-                    &spec,
-                );
-                if let Err(error) = result {
-                    return refuse(&mut output, error);
-                }
-            }
-            ToWorker::RunCell {
-                cell,
-                suite,
                 scripts,
                 stand,
                 spec,
             } => {
-                let result = run_cell(
-                    &mut state,
-                    &mut output,
-                    cell,
-                    &suite,
-                    &scripts,
-                    stand,
-                    &spec,
-                );
-                if let Err(error) = result {
+                if let Err(error) = run_range(&mut state, &mut output, job, &scripts, stand, &spec)
+                {
                     return refuse(&mut output, error);
                 }
             }
@@ -217,79 +182,28 @@ pub(crate) fn serve(mut input: impl Read, mut output: impl Write) -> Result<(), 
 
 /// Sends one `Error` frame (best effort) and fails the loop.
 fn refuse(output: &mut impl Write, message: String) -> Result<(), String> {
-    let _ = FromWorker::Error {
-        message: message.clone(),
-    }
-    .encode()
-    .map(|payload| write_frame(output, &payload));
+    let _ = write_frame(
+        output,
+        &FromWorker::Error {
+            message: message.clone(),
+        }
+        .encode(),
+    );
     Err(message)
 }
 
 fn send(output: &mut impl Write, frame: &FromWorker) -> Result<(), String> {
-    let payload = frame.encode().map_err(|e| e.to_string())?;
-    write_frame(output, &payload).map_err(|e| e.to_string())
+    write_frame(output, &frame.encode()).map_err(|e| e.to_string())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_test(
+/// Runs one shipped range: the scripts in order, each against a fresh
+/// device realized from `spec`, stopping at the first planning error
+/// exactly like local execution; then ships the outcomes with each test's
+/// wall time in microseconds.
+fn run_range(
     state: &mut WorkerState,
     output: &mut impl Write,
     job: usize,
-    cell: usize,
-    test: usize,
-    suite: &str,
-    name: &str,
-    script_id: u64,
-    stand_id: u64,
-    spec: &DeviceSpec,
-) -> Result<(), String> {
-    if let Some(hold) = state.hold {
-        std::thread::sleep(hold);
-    }
-    let script = Arc::clone(state.script(script_id)?);
-    let stand = Arc::clone(state.stand(stand_id)?);
-    let plan = state.plan(script_id, stand_id);
-    let mut device = state.device(spec)?;
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::TestStarted {
-            cell,
-            test,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            name: name.to_owned(),
-        }),
-    )?;
-    let started = Instant::now();
-    let outcome = plan_and_execute(&plan, &script, &stand, &mut device, &state.ctx);
-    let (status, failed) = outcome_status(&outcome);
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::TestFinished {
-            cell,
-            test,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            name: name.to_owned(),
-            status,
-            failed,
-            duration: started.elapsed(),
-        }),
-    )?;
-    send(
-        output,
-        &FromWorker::TestDone {
-            job,
-            record: encode_outcomes(1, vec![outcome]),
-        },
-    )
-}
-
-fn run_cell(
-    state: &mut WorkerState,
-    output: &mut impl Write,
-    cell: usize,
-    suite: &str,
     script_ids: &[u64],
     stand_id: u64,
     spec: &DeviceSpec,
@@ -298,46 +212,27 @@ fn run_cell(
         std::thread::sleep(hold);
     }
     let stand = Arc::clone(state.stand(stand_id)?);
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::JobStarted {
-            cell,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-        }),
-    )?;
     let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(script_ids.len());
+    let mut walls = Vec::with_capacity(script_ids.len());
     for &script_id in script_ids {
         let script = Arc::clone(state.script(script_id)?);
         let plan = state.plan(script_id, stand_id);
         let mut device = state.device(spec)?;
+        let started = Instant::now();
         let outcome = plan_and_execute(&plan, &script, &stand, &mut device, &state.ctx);
-        let stop_cell = outcome.is_err();
+        walls.push(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        let stop = outcome.is_err();
         outcomes.push(outcome);
-        if stop_cell {
-            // First planning failure ends the cell, exactly like local
-            // execution.
+        if stop {
             break;
         }
     }
-    // Fold locally only to render the finished event; the parent re-folds
-    // the shipped outcomes itself.
-    let folded = fold_cell(suite.to_owned(), stand.name().to_owned(), outcomes.clone());
     send(
         output,
-        &FromWorker::Event(EngineEvent::JobFinished {
-            cell,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            status: folded.status(),
-            failed: !folded.passed(),
-        }),
-    )?;
-    send(
-        output,
-        &FromWorker::CellDone {
-            cell,
+        &FromWorker::RangeDone {
+            job,
             record: encode_outcomes(script_ids.len(), outcomes),
+            walls,
         },
     )
 }

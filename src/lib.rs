@@ -333,9 +333,10 @@
 //! the [`server`] crate docs for the frame reference, lifecycle states
 //! and an in-process quickstart.
 //!
-//! The PR-1/PR-2 free functions (`run_campaign`, `run_campaign_parallel`,
-//! `run_campaign_with_pool`) still compile as `#[deprecated]` shims over
-//! this API, reachable through [`core`] and [`engine`] (not the prelude).
+//! [`engine::Campaign`] is the one way to run a campaign: every executor
+//! schedules the same job shape — one cell's contiguous range of tests,
+//! whole cells at `--granularity cell`, single tests at `test` — so
+//! results are byte-identical across executors and granularities.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,5 @@
 //! Engine behaviours *around* the executor contract: event-stream
-//! coverage, report generation from campaign results, executor reuse, and
-//! the deprecated shim entry points that must keep matching the builder
-//! API they wrap.
+//! coverage, report generation from campaign results and executor reuse.
 //!
 //! The executor contract itself — byte-identity to the serial reference,
 //! cancellation prefix-truncation, stop-on-first-fail, empty-matrix
@@ -142,82 +140,4 @@ fn campaign_junit_covers_the_matrix() {
         xml.contains("type=\"NotRunnable\""),
         "stand A misses 4 ECUs"
     );
-}
-
-/// The deprecated entry points (the only remaining callers in the repo):
-/// they are thin shims over the builder API and must keep producing
-/// byte-identical results, including the historical serial `run_campaign`.
-#[allow(deprecated)]
-mod shims {
-    use super::*;
-    use comptest::core::campaign::run_campaign;
-    use comptest::engine::{run_campaign_parallel, run_campaign_with_pool, EngineOptions};
-
-    #[test]
-    fn all_three_shims_match_the_builder_api() {
-        let suites = load_suites();
-        let entries_vec = entries(&suites);
-        let stand_a = load_stand("stand_a.stand");
-        let stand_b = load_stand("stand_b.stand");
-        let stands = [&stand_a, &stand_b];
-        let reference = Campaign::new(&entries_vec, &stands)
-            .run(&SerialExecutor)
-            .unwrap();
-
-        // The historical serial driver anchors the builder API to the seed
-        // behaviour byte-for-byte.
-        let serial = run_campaign(&entries_vec, &stands, &ExecOptions::default()).unwrap();
-        assert_eq!(serial, reference, "serial shim diverged");
-
-        for granularity in [Granularity::Cell, Granularity::Test] {
-            let parallel = run_campaign_parallel(
-                &entries_vec,
-                &stands,
-                &EngineOptions::with_workers(4).granularity(granularity),
-                &ExecOptions::default(),
-                None,
-            )
-            .unwrap();
-            assert_eq!(parallel, reference, "parallel shim at {granularity}");
-        }
-
-        let pool = WorkerPool::new(4);
-        let with_pool = run_campaign_with_pool(
-            &pool,
-            &entries_vec,
-            &stands,
-            &EngineOptions::default(),
-            &ExecOptions::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(with_pool, reference, "pool shim diverged");
-    }
-
-    #[test]
-    fn shims_emit_the_historical_campaign_done_event() {
-        let suites = load_suites();
-        let entries_vec = entries(&suites);
-        let stand_b = load_stand("stand_b.stand");
-        let stands = [&stand_b];
-        let (tx, rx) = std::sync::mpsc::channel();
-        let result = run_campaign_parallel(
-            &entries_vec,
-            &stands,
-            &EngineOptions::with_workers(2),
-            &ExecOptions::default(),
-            Some(&tx),
-        )
-        .unwrap();
-        drop(tx);
-        assert!(result.all_green());
-        let events: Vec<EngineEvent> = rx.into_iter().collect();
-        assert!(
-            matches!(
-                events.last(),
-                Some(EngineEvent::CampaignDone { cancelled: 0, .. })
-            ),
-            "shims keep the terminal CampaignDone marker"
-        );
-    }
 }

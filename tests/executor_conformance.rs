@@ -813,6 +813,18 @@ fn conformance_observed_runs_are_byte_identical_and_balanced() {
     let stands = [&stand_a, &stand_b];
 
     for granularity in [Granularity::Cell, Granularity::Test] {
+        // Per-test timing reference: the serial run's simulated total.
+        let serial_obs = Recorder::enabled();
+        Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .recorder(serial_obs.clone())
+            .run(&SerialExecutor)
+            .unwrap();
+        let serial_sim_total = serial_obs
+            .metrics()
+            .unwrap()
+            .counter("test_sim_micros_total");
+        assert!(serial_sim_total > 0, "{granularity}: serial sim total");
         for subject in subjects() {
             for setup in CACHES {
                 let executor = (subject.build)();
@@ -859,6 +871,19 @@ fn conformance_observed_runs_are_byte_identical_and_balanced() {
                 );
                 assert!(cold_metrics.counter("spans_opened") > 0, "{label}");
                 assert!(cold_metrics.counter("steps_executed") > 0, "{label}");
+                // One timing observation per executed test, on every
+                // executor at both granularities.
+                assert_eq!(
+                    cold_metrics.histograms["test_sim_micros"].count,
+                    cold_metrics.counter("tests_executed"),
+                    "{label}: one test_sim_micros observation per executed test ({:?})",
+                    cold_metrics.counters
+                );
+                assert_eq!(
+                    cold_metrics.counter("test_sim_micros_total"),
+                    serial_sim_total,
+                    "{label}: simulated test time must equal the serial run's"
+                );
 
                 // Warm run on the observed campaign (its first launch, so a
                 // cache means everything comes out of it — the plain run
@@ -1303,4 +1328,120 @@ fn conformance_cache_hits_build_no_devices() {
         cold_builds - entries.len(),
         "cache_verify re-executes, so warm audit runs still build every device"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Range edge cases: every job is a (cell, test range); the extremes of that
+// shape must match serial at both granularities.
+// ---------------------------------------------------------------------------
+
+/// Launches `campaign` on `executor`, collecting its events.
+fn run_with_events(
+    campaign: &Campaign<'_, '_>,
+    executor: &dyn CampaignExecutor,
+) -> (CampaignOutcome, Vec<EngineEvent>) {
+    let mut handle = campaign.launch(executor).unwrap();
+    let stream = handle.events();
+    let collector = std::thread::spawn(move || stream.collect::<Vec<EngineEvent>>());
+    let outcome = handle.join().unwrap();
+    (outcome, collector.join().unwrap())
+}
+
+/// `(cell started, cell finished, test started, test finished)` counts.
+fn event_shape(events: &[EngineEvent]) -> (usize, usize, usize, usize) {
+    let count = |pred: fn(&EngineEvent) -> bool| events.iter().filter(|e| pred(e)).count();
+    (
+        count(|e| matches!(e, EngineEvent::JobStarted { .. })),
+        count(|e| matches!(e, EngineEvent::JobFinished { .. })),
+        count(|e| matches!(e, EngineEvent::TestStarted { .. })),
+        count(|e| matches!(e, EngineEvent::TestFinished { .. })),
+    )
+}
+
+/// A one-test suite: its whole-cell range has length 1, yet cell
+/// granularity must still report per cell (and test granularity per test).
+#[test]
+fn conformance_one_test_suite_keeps_the_granularity_event_shape() {
+    let suites = load_suites();
+    let mut single = suites[0].clone();
+    single.tests.truncate(1);
+    let singles = vec![single];
+    let entries = entries(&singles);
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        let campaign = Campaign::new(&entries, &stands).granularity(granularity);
+        let (reference, _) = run_with_events(&campaign, &SerialExecutor);
+        assert_eq!(reference.result.cells.len(), 1);
+        let expected = match granularity {
+            Granularity::Cell => (1, 1, 0, 0),
+            Granularity::Test => (0, 0, 1, 1),
+        };
+        for subject in subjects() {
+            let label = format!("{granularity}/{}", subject.name);
+            let executor = (subject.build)();
+            let (outcome, events) = run_with_events(&campaign, executor.as_ref());
+            assert_eq!(outcome, reference, "{label}: diverged from serial");
+            assert_eq!(event_shape(&events), expected, "{label}: {events:?}");
+        }
+    }
+}
+
+/// On the minimal stand some cells cannot plan their first test: a
+/// whole-cell range ends on its first outcome, a test range of that test
+/// is a single planning error — both must merge the serial bytes, and the
+/// two granularities must agree with each other.
+#[test]
+fn conformance_cells_with_an_unrunnable_first_test_match_serial() {
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let mini = load_stand("stand_minimal.stand");
+    let stands = [&mini];
+
+    let by_cell = Campaign::new(&entries, &stands)
+        .run(&SerialExecutor)
+        .unwrap();
+    let not_runnable_cells = by_cell
+        .cells
+        .iter()
+        .filter(|cell| cell.outcome.is_err())
+        .count();
+    let by_test = Campaign::new(&entries, &stands).granularity(Granularity::Test);
+    let (_, test_events) = run_with_events(&by_test, &SerialExecutor);
+    let first_unrunnable = test_events
+        .iter()
+        .filter(|e| {
+            matches!(e, EngineEvent::TestFinished { test: 0, status, .. }
+                if status.starts_with("NOT RUNNABLE"))
+        })
+        .count();
+    assert!(
+        first_unrunnable > 0,
+        "fixture needs a cell whose first test cannot be planned:\n{by_cell}"
+    );
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        let campaign = Campaign::new(&entries, &stands).granularity(granularity);
+        let (reference, _) = run_with_events(&campaign, &SerialExecutor);
+        assert_eq!(
+            reference.result, by_cell,
+            "{granularity}: granularities disagree"
+        );
+        for subject in subjects() {
+            let label = format!("{granularity}/{}", subject.name);
+            let executor = (subject.build)();
+            let (outcome, events) = run_with_events(&campaign, executor.as_ref());
+            assert_eq!(outcome, reference, "{label}: diverged from serial");
+            if granularity == Granularity::Cell {
+                let not_runnable = events
+                    .iter()
+                    .filter(|e| {
+                        matches!(e, EngineEvent::JobFinished { status, failed: true, .. }
+                            if status.starts_with("NOT RUNNABLE"))
+                    })
+                    .count();
+                assert_eq!(not_runnable, not_runnable_cells, "{label}: {events:?}");
+            }
+        }
+    }
 }

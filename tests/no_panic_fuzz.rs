@@ -205,11 +205,11 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// A valid `Hello` frame (tag 0, magic `CWP`, version 1, end-of-step
+/// A valid `Hello` frame (tag 0, magic `CWP`, version 2, end-of-step
 /// sampling, stop-on-failure off) — hand-assembled so the hostile bytes
 /// *after* the handshake exercise the post-handshake decode path.
 fn hello_frame() -> Vec<u8> {
-    frame(&[0x00, b'C', b'W', b'P', 0x01, 0x00, 0x00])
+    frame(&[0x00, b'C', b'W', b'P', 0x02, 0x00, 0x00])
 }
 
 /// The hostile framings random junk almost never produces: oversized and
@@ -250,10 +250,15 @@ fn worker_hostile_framings_are_refused_not_panicked() {
             [hello_frame(), hello_frame()].concat(),
         ),
         ("run frame referencing unknown intern ids", {
-            // RunCell (tag 4): cell 0, empty suite, zero scripts, stand id
-            // 9 that was never interned — the worker must refuse, not index.
+            // RunRange (tag 3): job 0, zero scripts, stand id 9 that was
+            // never interned, then a well-formed device spec ("x", five
+            // zero floats, no dropped frames) — the worker must refuse,
+            // not index.
+            let mut run = vec![0x03, 0x00, 0x00, 0x09, 0x01, b'x'];
+            run.extend_from_slice(&[0u8; 40]);
+            run.push(0x00);
             let mut bytes = hello_frame();
-            bytes.extend_from_slice(&frame(&[0x04, 0x00, 0x00, 0x00, 0x09]));
+            bytes.extend_from_slice(&frame(&run));
             bytes
         }),
     ];
